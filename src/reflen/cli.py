@@ -189,7 +189,9 @@ def cmd_census(args):
 def cmd_verify(args):
     kind, n, p = _group_args(args)
     table = oracle.enumerate_group(kind, n, p, cap=args.cap)
-    report = oracle.verify_formulas(table, check_tuples_up_to=args.tuples)
+    report = oracle.verify_formulas(
+        table, check_tuples_up_to=args.tuples, cap=args.cap
+    )
     rep = Report()
     rep.extend(report.records())
     if args.seed is not None:
@@ -265,7 +267,8 @@ def build_parser():
         p.add_argument("n", type=int)
         p.add_argument("p", type=int)
         p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
-                       help="maximum group order to enumerate")
+                       help="maximum group order to enumerate and, for "
+                       "verify, maximum number of tuple checks")
         if name == "verify":
             p.add_argument("--tuples", type=int, default=0,
                            help="also check reducedness of all tuples up to this length")

@@ -50,7 +50,15 @@ class NoReflections(ReflenError):
 
 
 class TooLarge(ReflenError):
-    """Group order exceeds the enumeration cap."""
+    """Group order or tuple-check count exceeds the work cap."""
+
+
+class NotClosed(ReflenError):
+    """A product of group-table elements is missing from the table."""
+
+
+class InexactScalar(ReflenError):
+    """A float was given where an exact scalar is required."""
 
 
 class ParseError(ReflenError):

@@ -3,14 +3,22 @@
 Scalars are plain Python values: an ``int`` residue in ``[0, p)`` for a prime
 field, a ``fractions.Fraction`` (always in lowest terms, positive denominator)
 for the rationals.  Field objects carry the arithmetic; containers in
-:mod:`reflen.linalg` hold one field reference and raw scalar values.
+:mod:`reflen.linalg` hold one field reference and raw scalar values.  Input
+is taken exactly; a float is refused, since it has already been rounded.
 """
 
 from fractions import Fraction
 
-from .errors import NotPrime
+from .errors import InexactScalar, NotPrime
 
 MAX_PRIME = 2**16
+
+
+def _exact(x):
+    """x as a Fraction, refusing floats."""
+    if isinstance(x, float):
+        raise InexactScalar("%r is a float, not an exact scalar" % (x,))
+    return Fraction(x)
 
 
 def is_prime(n):
@@ -50,11 +58,13 @@ class PrimeField:
         return 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator divisible by %d" % self.p)
-            return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-        return int(x) % self.p
+        if type(x) is int:
+            return x % self.p
+        if not isinstance(x, Fraction):
+            x = _exact(x)
+        if x.denominator % self.p == 0:
+            raise ZeroDivisionError("denominator divisible by %d" % self.p)
+        return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -110,7 +120,9 @@ class RationalField:
         return Fraction(1)
 
     def coerce(self, x):
-        return Fraction(x)
+        if type(x) is Fraction:
+            return x
+        return _exact(x)
 
     def add(self, a, b):
         return a + b

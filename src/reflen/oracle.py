@@ -5,9 +5,10 @@ formulas.
 """
 
 from itertools import product as iproduct
+from operator import itemgetter
 
-from . import affine, kernels
-from .errors import NoReflections, NotPrime, ShapeMismatch, TooLarge
+from . import affine
+from .errors import NoReflections, NotClosed, NotPrime, ShapeMismatch, TooLarge
 from .factorization import reflection_length_gl
 from .fields import PrimeField
 from .linalg import LinearForm, Matrix, Vector, rref
@@ -18,6 +19,8 @@ GL = "GL"
 GA = "GA"
 
 DEFAULT_CAP = 10**6
+
+UNREACHED = -1
 
 
 def gl_order(n, p):
@@ -57,9 +60,6 @@ class GroupTable:
 
     def id_of(self, m):
         return self.index[m.entries]
-
-    def flattened(self):
-        return [tuple(e for row in m.entries for e in row) for m in self.elements]
 
     def affine_map(self, eid):
         if self.kind != GA:
@@ -130,35 +130,76 @@ def reflections_of(table):
 
 
 class LengthTable:
-    __slots__ = ("lengths", "classes", "mov_dims")
+    __slots__ = ("lengths",)
 
-    def __init__(self, lengths, classes=None, mov_dims=None):
+    def __init__(self, lengths):
         self.lengths = lengths
-        self.classes = classes
-        self.mov_dims = mov_dims
 
     def length(self, eid):
         return self.lengths[eid]
 
     def reachable(self, eid):
-        return self.lengths[eid] != kernels.UNREACHED
+        return self.lengths[eid] != UNREACHED
 
 
-def bfs_lengths(table, gens, backend=None):
+def bfs_lengths(table, gens):
     """Exact word length of every element over the generator set, by BFS.
 
-    Elements outside the generated subgroup keep kernels.UNREACHED.
+    Right multiplication acts on each row alone: row_i(x g) = row_i(x) g.  So
+    the distinct rows of the table are numbered once, each element becomes
+    the tuple of its row numbers, and each generator becomes the list of its
+    action on row numbers; a product is then one lookup per row and one dict
+    probe, with no arithmetic.
+
+    Elements outside the generated subgroup keep UNREACHED.  A product that
+    is not in the table raises NotClosed.  When the table is the whole group
+    it is closed under products, so the search stops as soon as every element
+    has a length instead of expanding the last level, which finds nothing.
     """
-    gen_ids = sorted(gens)
-    if not gen_ids:
-        lengths = [kernels.UNREACHED] * len(table)
-        lengths[table.identity_id] = 0
-        return LengthTable(lengths)
-    lengths = kernels.bfs_lengths(
-        table.flattened(), gen_ids, table.matrix_dim, table.p,
-        table.identity_id, backend=backend,
-    )
-    return LengthTable(list(lengths))
+    lengths = [UNREACHED] * len(table)
+    lengths[table.identity_id] = 0
+    p = table.p
+    row_ids = {}
+    elements = [tuple([row_ids.setdefault(row, len(row_ids)) for row in m.entries])
+                for m in table.elements]
+    rows = list(row_ids)
+    acts = []
+    for gid in sorted(gens):
+        cols = list(zip(*table.elements[gid].entries))
+        # rows that leave the table get fresh numbers, so their products miss
+        acts.append([
+            row_ids.setdefault(
+                tuple([sum([a * b for a, b in zip(row, col)]) % p for col in cols]),
+                len(row_ids),
+            )
+            for row in rows
+        ])
+    # key(act) is the product's row numbers: a tuple, or one int when dim is 1
+    ids = list(range(len(rows)))
+    index = {itemgetter(*e)(ids): eid for eid, e in enumerate(elements)}
+    order = gl_order if table.kind == GL else ga_order
+    unreached = len(table) - 1 if len(table) == order(table.n, p) else -1
+    frontier = [table.identity_id]
+    d = 0
+    while frontier and unreached:
+        d += 1
+        nxt = []
+        for eid in frontier:
+            key = itemgetter(*elements[eid])
+            for act in acts:
+                try:
+                    j = index[key(act)]
+                except KeyError:
+                    raise NotClosed(
+                        "a product of element %d and a generator is not in the "
+                        "table" % eid
+                    ) from None
+                if lengths[j] == UNREACHED:
+                    lengths[j] = d
+                    nxt.append(j)
+        unreached -= len(nxt)
+        frontier = nxt
+    return LengthTable(lengths)
 
 
 def formula_length(table, eid):
@@ -210,16 +251,19 @@ class VerificationReport:
         return lines
 
 
-def verify_formulas(table, check_tuples_up_to=0, backend=None):
+def verify_formulas(table, check_tuples_up_to=0, cap=DEFAULT_CAP):
     """Compare BFS word lengths against the closed-form lengths for every
     element; optionally also check the reducedness criterion on every
-    reflection tuple up to the given length."""
+    reflection tuple up to the given length, at most cap tuples in all."""
     refl = reflections_of(table)
     if not refl:
         raise NoReflections(
             "%s_%d(F_%d) contains no reflections" % (table.kind, table.n, table.p)
         )
-    lt = bfs_lengths(table, refl, backend=backend)
+    checks = sum(len(refl) ** k for k in range(1, check_tuples_up_to + 1))
+    if checks > cap:
+        raise TooLarge("%d tuple checks exceed cap %d" % (checks, cap))
+    lt = bfs_lengths(table, refl)
     agreements = 0
     disagreements = 0
     first = None
@@ -320,15 +364,15 @@ class CensusReport:
         return lines
 
 
-def census(table, backend=None):
+def census(table):
     """Deterministic per-length and per-class counts from the BFS oracle."""
     refl = reflections_of(table)
-    lt = bfs_lengths(table, refl, backend=backend)
+    lt = bfs_lengths(table, refl)
     length_counts = {}
     unreachable = 0
     for eid in range(len(table)):
         ln = lt.length(eid)
-        if ln == kernels.UNREACHED:
+        if ln == UNREACHED:
             unreachable += 1
         else:
             length_counts[ln] = length_counts.get(ln, 0) + 1

@@ -1,8 +1,9 @@
-"""Pure-Python BFS kernel: word lengths over a generating set.
+"""Reference BFS: word lengths over a generating set, by plain matrix
+products.
 
-Elements are flattened residue tuples of one fixed shape over F_p.  This is
-the fallback used when the compiled extension is unavailable (or disabled via
-REFLEN_PURE=1); same contract as reflen._speedups.
+Elements are flattened residue tuples of one fixed shape over F_p.  It shares
+no code with ``reflen.oracle.bfs_lengths`` and expands every level, so the
+tests cross-check the row-table BFS and its early exit against it.
 """
 
 UNREACHED = -1

@@ -166,6 +166,13 @@ def test_exit_code_domain_error(tmp_path):
     assert code == 3
 
 
+def test_verify_tuples_over_cap_refused():
+    # 570 + 570^2 + 570^3 tuple checks are refused before any product
+    code, out = run(["verify", "GA", "2", "5", "--tuples", "3"])
+    assert code == 3
+    assert out == ""
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main(["--porcelain"])

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from reflen import GF, QQ
-from reflen.errors import NotPrime
+from reflen import GF, QQ, Matrix
+from reflen.errors import InexactScalar, NotPrime
 from reflen.fields import is_prime
 
 
@@ -56,3 +56,16 @@ def test_field_equality_and_hash():
     assert GF(5) != GF(7)
     assert QQ == QQ
     assert hash(GF(5)) == hash(GF(5))
+
+
+def test_floats_rejected_not_rounded():
+    with pytest.raises(InexactScalar):
+        Matrix(GF(5), [[2.7, 0], [0, 1]])
+    with pytest.raises(InexactScalar):
+        Matrix(QQ, [[0.1]])
+    with pytest.raises(InexactScalar):
+        GF(7).coerce(2.0)
+    # exact non-int input is still taken exactly
+    assert GF(7).coerce(True) == 1
+    assert GF(7).coerce("1/3") == 5
+    assert QQ.coerce(2) == Fraction(2)

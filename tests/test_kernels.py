@@ -1,41 +1,47 @@
 import pytest
 
-from reflen import kernels
-from reflen.oracle import bfs_lengths, enumerate_group, reflections_of
+from bfs_reference import bfs_lengths as reference_bfs_lengths
+from conftest import F3
+from reflen import Matrix
+from reflen.errors import NotClosed
+from reflen.oracle import GroupTable, bfs_lengths, enumerate_group, reflections_of
 
 
 @pytest.mark.parametrize(
     "kind,n,p",
-    [("GL", 2, 2), ("GL", 2, 3), ("GL", 3, 2), ("GA", 2, 2), ("GA", 2, 3)],
+    [("GL", 2, 2), ("GL", 2, 3), ("GL", 3, 2), ("GL", 2, 5), ("GA", 2, 2),
+     ("GA", 2, 3), ("GA", 3, 2), ("GL", 1, 5), ("GA", 1, 3)],
 )
 def test_backends_agree(kind, n, p):
+    """The row-table BFS, with its early exit, gives the same lengths as the
+    reference BFS, which multiplies matrices and expands every level."""
     table = enumerate_group(kind, n, p)
     refl = reflections_of(table)
-    pure = bfs_lengths(table, refl, backend="pure").lengths
-    if kernels.HAVE_SPEEDUPS:
-        compiled = bfs_lengths(table, refl, backend="compiled").lengths
-        assert compiled == pure
-    assert bfs_lengths(table, refl).lengths == pure
+    flat = [tuple(e for row in m.entries for e in row) for m in table.elements]
+    expected = reference_bfs_lengths(
+        flat, sorted(refl), table.matrix_dim, p, table.identity_id
+    )
+    assert bfs_lengths(table, refl).lengths == expected
 
 
-def test_active_backend_reports_string():
-    assert kernels.active_backend() in ("pure", "compiled")
+def test_lookup_miss_raises():
+    # {I, t} is not closed: t*t is missing, so the search must not stop early
+    table = GroupTable("GL", 2, 3, [
+        Matrix(F3, [[1, 0], [0, 1]]),
+        Matrix(F3, [[1, 1], [0, 1]]),
+    ])
+    with pytest.raises(NotClosed):
+        bfs_lengths(table, {1})
 
 
-def test_pure_env_override(monkeypatch):
-    monkeypatch.setenv("REFLEN_PURE", "1")
-    assert kernels.active_backend() == "pure"
-
-
-def test_key_fits_guard():
-    if not kernels.HAVE_SPEEDUPS:
-        pytest.skip("compiled kernel not built")
-    from reflen import _speedups
-
-    assert _speedups.key_fits(4, 2)
-    assert _speedups.key_fits(9, 3)
-    # 65521^16 blows well past int64; the dispatcher must fall back
-    assert not _speedups.key_fits(16, 65521)
+def test_closed_subgroup_table():
+    # the cyclic group of a transvection, built by hand: no early exit, and
+    # expanding its last level finds every product in the table
+    t = Matrix(F3, [[1, 1], [0, 1]])
+    elements = [Matrix.identity(F3, 2), t, t.mul(t)]
+    table = GroupTable("GL", 2, 3, elements)
+    assert bfs_lengths(table, {1}).lengths == [0, 1, 2]
+    assert bfs_lengths(table, {1, 2}).lengths == [0, 1, 1]
 
 
 def test_single_generator_cyclic_subgroup():

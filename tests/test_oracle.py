@@ -81,6 +81,13 @@ def test_tuple_criterion_against_bfs():
     assert report.tuple_failures == 0
 
 
+def test_tuple_checks_bounded_by_cap():
+    table = enumerate_group("GL", 2, 2)
+    assert verify_formulas(table, check_tuples_up_to=3, cap=39).tuple_checks == 39
+    with pytest.raises(TooLarge):
+        verify_formulas(table, check_tuples_up_to=3, cap=38)
+
+
 def test_bfs_symmetry_under_inversion():
     # word length is invariant under g -> g^-1
     table = enumerate_group("GL", 2, 3)
