@@ -26,10 +26,11 @@ from .linalg import (
     annihilator,
     image_basis,
     kernel_basis,
+    rref,
     solve,
     subspace_sum,
 )
-from .reflection import matrix_of, reflection_from_matrix
+from .reflection import Reflection, matrix_of
 
 ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
@@ -72,8 +73,9 @@ class AffineMap:
         expected = tuple([f.zero] * n + [f.one])
         if last != expected:
             raise ShapeMismatch("last row of block form must be (0, ..., 0, 1)")
-        linear = Matrix(f, [row[:n] for row in B.entries[:n]])
-        trans = Vector(f, [B.entries[i][n] for i in range(n)])
+        top = B.entries[:n]
+        linear = Matrix._trusted(f, tuple([row[:n] for row in top]))
+        trans = Vector._trusted(f, tuple([row[n] for row in top]))
         return cls(linear, trans)
 
     def block_matrix(self):
@@ -199,6 +201,25 @@ def include_at(g, a):
     return AffineMap(g, a.sub(g.matvec(a)))
 
 
+def _echelon(gg):
+    """One elimination of the augmented system [g - 1 | -t], whose solutions
+    are the fixed points of gg.
+
+    Returns ``(rank, fixes_point)``: rank(g - 1), which is dim mov, from the
+    pivots among the first n columns; and whether gg fixes a point, which
+    holds exactly when column n is not a pivot.
+    """
+    f = gg.field
+    D = gg.linear.minus_identity()
+    aug = Matrix._trusted(f, tuple([
+        row + (f.neg(t),) for row, t in zip(D.entries, gg.translation.entries)
+    ]))
+    _, rank, pivots = rref(aug)
+    if rank and pivots[-1] == gg.dim:
+        return rank - 1, False
+    return rank, True
+
+
 def mov(gg):
     """The moved space: the affine subspace im(g - 1) + (gg(a) - a) of V,
     independent of the probe point a."""
@@ -219,25 +240,32 @@ def fix_lin(gg):
     return kernel_basis(gg.linear.minus_identity())
 
 
-def classify(gg):
-    """Elliptic / parabolic / hyperbolic classification, uniform over all
-    fields.  An element is hyperbolic when it fixes no point and its two
+def _class_of(gg, rank, fixes_point):
+    """The class of gg from rank(g - 1) and whether gg fixes a point.
+
+    An element is hyperbolic when it fixes no point and its two
     linear-fixed-space cosets through a and gg(a) cover the whole space:
-    that means a nontrivial translation, or (only over F_2) a glide whose
-    linear part is a reflection with mirror containing the moved line.
+    that means a nontrivial translation (rank 0), or (only over F_2) a glide
+    whose linear part is a reflection with mirror containing the moved line,
+    which is rank 1 with (g - 1)^2 = 0 and (g - 1)t != 0.  Over F_2 an
+    invertible g with g - 1 = v alpha^T has alpha(v) = 0, so
+    (g - 1)^2 = alpha(v)(g - 1) = 0 always holds and only (g - 1)t is tested.
     """
-    if not fix_aff(gg).is_empty:
+    if fixes_point:
         return ELLIPTIC
-    L = fix_lin(gg)
-    if L.is_full():
+    if rank == 0:
         return HYPERBOLIC
     f = gg.field
-    if f.is_prime_field and f.p == 2 and L.codim == 1:
-        moved_dirs = image_basis(gg.linear.minus_identity())
-        inside = all(L.contains(v) for v in moved_dirs.vectors())
-        if inside and not L.contains(gg.translation):
+    if f.is_prime_field and f.p == 2 and rank == 1:
+        if not gg.linear.minus_identity().matvec(gg.translation).is_zero():
             return HYPERBOLIC
     return PARABOLIC
+
+
+def classify(gg):
+    """Elliptic / parabolic / hyperbolic classification, uniform over all
+    fields, from one elimination."""
+    return _class_of(gg, *_echelon(gg))
 
 
 def _check_degenerate(gg):
@@ -251,13 +279,14 @@ def reflection_length_affine(gg):
     if gg.is_identity():
         return 0
     _check_degenerate(gg)
-    return mov(gg).dim + CLASS_OFFSET[classify(gg)]
+    rank, fixes_point = _echelon(gg)
+    return rank + CLASS_OFFSET[_class_of(gg, rank, fixes_point)]
 
 
 def is_affine_reflection(gg):
     """True iff gg fixes an affine hyperplane pointwise."""
-    fa = fix_aff(gg)
-    return (not fa.is_empty) and fa.dim == gg.dim - 1
+    rank, fixes_point = _echelon(gg)
+    return fixes_point and rank == 1
 
 
 def make_affine_reflection(H, a, b):
@@ -286,16 +315,8 @@ def make_affine_reflection(H, a, b):
     alpha = LinearForm(f, sol.particular.entries)
     v = a.sub(b)
     # r(x) = x + alpha(x - c) * v.
-    lin_entries = [
-        [
-            f.add(f.one if i == j else f.zero, f.mul(v[i], alpha[j]))
-            for j in range(len(a))
-        ]
-        for i in range(len(a))
-    ]
-    linear = Matrix(f, lin_entries)
     trans = v.scale(f.neg(alpha(c)))
-    rr = AffineMap(linear, trans)
+    rr = AffineMap(matrix_of(Reflection(v, alpha)), trans)
     assert rr.apply(a) == b
     return rr
 
@@ -326,16 +347,7 @@ def _translation_factors(lam):
             SubspaceBasis.from_vectors(f, n, [lam])
         ).vectors()
         alpha = LinearForm(f, ann[0].entries)
-    lin = Matrix(
-        f,
-        [
-            [
-                f.add(f.one if i == j else f.zero, f.mul(lam[i], alpha[j]))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-    )
+    lin = matrix_of(Reflection(lam, alpha))
     r1 = AffineMap(lin, Vector.zero(f, n))
     r2 = AffineMap(lin, lam)
     assert r2.compose(r1) == AffineMap.translation_by(lam)

@@ -3,6 +3,10 @@ echelon forms, canonical subspace bases, and affine solution sets.
 
 Every value is immutable (entries stored as tuples) and every operation is a
 pure function, so values can be shared freely between threads.
+
+The public constructors coerce every entry into the field.  Results of field
+operations are already reduced, so the operations here build their results
+with the internal ``_trusted`` constructors, which skip that step.
 """
 
 from .errors import FieldMismatch, ShapeMismatch, Singular
@@ -21,6 +25,14 @@ class Vector:
         self.entries = tuple(field.coerce(e) for e in entries)
         if not self.entries:
             raise ShapeMismatch("vectors must have positive length")
+
+    @classmethod
+    def _trusted(cls, field, entries):
+        """A vector from a nonempty tuple of entries already in the field."""
+        v = cls.__new__(cls)
+        v.field = field
+        v.entries = entries
+        return v
 
     @classmethod
     def zero(cls, field, n):
@@ -49,19 +61,21 @@ class Vector:
         if len(other) != len(self):
             raise ShapeMismatch("vector lengths differ")
         f = self.field
-        return Vector(f, [f.add(a, b) for a, b in zip(self.entries, other.entries)])
+        return Vector._trusted(
+            f, tuple([f.add(a, b) for a, b in zip(self.entries, other.entries)])
+        )
 
     def sub(self, other):
         return self.add(other.neg())
 
     def neg(self):
         f = self.field
-        return Vector(f, [f.neg(a) for a in self.entries])
+        return Vector._trusted(f, tuple([f.neg(a) for a in self.entries]))
 
     def scale(self, c):
         f = self.field
         c = f.coerce(c)
-        return Vector(f, [f.mul(c, a) for a in self.entries])
+        return Vector._trusted(f, tuple([f.mul(c, a) for a in self.entries]))
 
     def __eq__(self, other):
         return (
@@ -141,6 +155,17 @@ class Matrix:
         self.entries = rows
 
     @classmethod
+    def _trusted(cls, field, rows):
+        """A matrix from a nonempty tuple of equal-length, nonempty tuples of
+        entries already in the field."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = len(rows)
+        m.cols = len(rows[0])
+        m.entries = rows
+        return m
+
+    @classmethod
     def identity(cls, field, n):
         return cls(
             field,
@@ -166,47 +191,50 @@ class Matrix:
         return Vector(self.field, [self.entries[i][j] for i in range(self.rows)])
 
     def transpose(self):
-        return Matrix(
-            self.field,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        return Matrix._trusted(self.field, tuple(zip(*self.entries)))
 
-    def add(self, other):
+    def _entrywise(self, op, other):
         _same_field(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("matrix shapes differ")
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
+        return Matrix._trusted(
+            self.field,
+            tuple([
+                tuple([op(a, b) for a, b in zip(ra, rb)])
                 for ra, rb in zip(self.entries, other.entries)
-            ],
+            ]),
         )
 
+    def add(self, other):
+        return self._entrywise(self.field.add, other)
+
     def sub(self, other):
-        return self.add(other.scale(self.field.neg(self.field.one)))
+        return self._entrywise(self.field.sub, other)
 
     def scale(self, c):
         f = self.field
         c = f.coerce(c)
-        return Matrix(f, [[f.mul(c, a) for a in row] for row in self.entries])
+        return Matrix._trusted(
+            f, tuple([tuple([f.mul(c, a) for a in row]) for row in self.entries])
+        )
 
     def mul(self, other):
         _same_field(self, other)
         if self.cols != other.rows:
             raise ShapeMismatch("inner dimensions differ")
         f = self.field
+        zero, add, mul = f.zero, f.add, f.mul
+        cols = tuple(zip(*other.entries))
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = f.zero
-                for k in range(self.cols):
-                    acc = f.add(acc, f.mul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(f, out)
+        for row in self.entries:
+            out_row = []
+            for col in cols:
+                acc = zero
+                for a, b in zip(row, col):
+                    acc = add(acc, mul(a, b))
+                out_row.append(acc)
+            out.append(tuple(out_row))
+        return Matrix._trusted(f, tuple(out))
 
     def matvec(self, v):
         _same_field(self, v)
@@ -214,20 +242,35 @@ class Matrix:
             raise ShapeMismatch("matrix/vector shapes differ")
         f = self.field
         out = []
-        for i in range(self.rows):
+        for row in self.entries:
             acc = f.zero
-            for k in range(self.cols):
-                acc = f.add(acc, f.mul(self.entries[i][k], v.entries[k]))
+            for a, b in zip(row, v.entries):
+                acc = f.add(acc, f.mul(a, b))
             out.append(acc)
-        return Vector(f, out)
+        return Vector._trusted(f, tuple(out))
 
     def minus_identity(self):
         if self.rows != self.cols:
             raise ShapeMismatch("square matrix required")
-        return self.sub(Matrix.identity(self.field, self.rows))
+        f = self.field
+        one = f.one
+        return Matrix._trusted(
+            f,
+            tuple([
+                row[:i] + (f.sub(row[i], one),) + row[i + 1:]
+                for i, row in enumerate(self.entries)
+            ]),
+        )
 
     def is_identity(self):
-        return self.rows == self.cols and self == Matrix.identity(self.field, self.rows)
+        if self.rows != self.cols:
+            return False
+        one, zero = self.field.one, self.field.zero
+        return all(
+            e == (one if i == j else zero)
+            for i, row in enumerate(self.entries)
+            for j, e in enumerate(row)
+        )
 
     def is_invertible(self):
         return self.rows == self.cols and rref(self)[1] == self.rows
@@ -250,7 +293,7 @@ class Matrix:
         red, rank, _ = rref(aug)
         if rank < n:
             raise Singular("matrix is not invertible")
-        return Matrix(self.field, [row[n:] for row in red.entries])
+        return Matrix._trusted(self.field, tuple([row[n:] for row in red.entries]))
 
     def __eq__(self, other):
         return (
@@ -274,6 +317,7 @@ def rref(M):
     pivot columns.
     """
     f = M.field
+    zero, mul, sub = f.zero, f.mul, f.sub
     rows = [list(r) for r in M.entries]
     nrows, ncols = M.rows, M.cols
     pivots = []
@@ -281,25 +325,27 @@ def rref(M):
     for c in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
-            if rows[i][c] != f.zero:
+            if rows[i][c] != zero:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        # Left of column c the pivot row is zero, so only columns c.. change.
+        prow = rows[r]
+        inv = f.inv(prow[c])
+        tail = [mul(inv, x) for x in prow[c:]]
+        rows[r] = prow[:c] + tail
         for i in range(nrows):
-            if i != r and rows[i][c] != f.zero:
-                factor = rows[i][c]
-                rows[i] = [
-                    f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])
-                ]
+            row = rows[i]
+            factor = row[c]
+            if i != r and factor != zero:
+                row[c:] = [sub(x, mul(factor, y)) for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return Matrix(f, rows), len(pivots), pivots
+    return Matrix._trusted(f, tuple([tuple(row) for row in rows])), len(pivots), pivots
 
 
 class SubspaceBasis:
@@ -392,29 +438,31 @@ class SubspaceBasis:
 
 def kernel_basis(M):
     """Canonical basis of the null space {x : Mx = 0}."""
-    f = M.field
-    red, rank, pivots = rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
+    red, _, pivots = rref(M)
+    return _kernel_from_rref(red, pivots, M.cols)
+
+
+def _kernel_from_rref(red, pivots, ncols):
+    """Null space of the first ncols columns of a matrix, from its RREF red
+    and the pivots among those columns: the first ncols columns of an RREF
+    are the RREF of those columns."""
+    f = red.field
     vecs = []
-    for c in free:
-        entries = [f.zero] * M.cols
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        entries = [f.zero] * ncols
         entries[c] = f.one
         for i, p in enumerate(pivots):
             entries[p] = f.neg(red.entries[i][c])
-        vecs.append(Vector(f, entries))
-    return SubspaceBasis.from_vectors(f, M.cols, vecs)
+        vecs.append(Vector._trusted(f, tuple(entries)))
+    return SubspaceBasis.from_vectors(f, ncols, vecs)
 
 
 def image_basis(M):
     """Canonical basis of the column space of M."""
     cols = [M.col(j) for j in range(M.cols)]
     return SubspaceBasis.from_vectors(M.field, M.rows, cols)
-
-
-def row_space(M):
-    return SubspaceBasis.from_vectors(
-        M.field, M.cols, [M.row(i) for i in range(M.rows)]
-    )
 
 
 def _check_compatible(A, B):
@@ -485,4 +533,6 @@ def solve(A, b):
     entries = [f.zero] * A.cols
     for i, p in enumerate(pivots):
         entries[p] = red.entries[i][A.cols]
-    return AffineSolutionSet(Vector(f, entries), kernel_basis(A))
+    return AffineSolutionSet(
+        Vector._trusted(f, tuple(entries)), _kernel_from_rref(red, pivots, A.cols)
+    )

@@ -35,6 +35,24 @@ def ga_order(n, p):
     return p**n * gl_order(n, p)
 
 
+def reflection_count(kind, n, p):
+    """The number of reflections in GL_n(F_p) or GA_n(F_p).
+
+    GL: the rank-one I + v alpha^T, one per line [v] and form alpha != 0
+    with alpha(v) != -1.  GA: each of the p (p^n - 1)/(p - 1) affine
+    hyperplanes is fixed pointwise by x |-> x + alpha(x - c) w for the
+    p^n - p^(n-1) vectors w with alpha(w) != -1, one of them the identity.
+    """
+    if kind == GL:
+        return (p**n - 1) * (p**n - p ** (n - 1) - 1) // (p - 1)
+    return p * (p**n - 1) // (p - 1) * (p**n - p ** (n - 1) - 1)
+
+
+def _is_whole_group(table):
+    order = gl_order if table.kind == GL else ga_order
+    return len(table) == order(table.n, table.p)
+
+
 class GroupTable:
     """A fully enumerated small group of matrices, in deterministic
     (lexicographic, row-major) order, with an id lookup by entries."""
@@ -177,8 +195,7 @@ def bfs_lengths(table, gens):
     # key(act) is the product's row numbers: a tuple, or one int when dim is 1
     ids = list(range(len(rows)))
     index = {itemgetter(*e)(ids): eid for eid, e in enumerate(elements)}
-    order = gl_order if table.kind == GL else ga_order
-    unreached = len(table) - 1 if len(table) == order(table.n, p) else -1
+    unreached = len(table) - 1 if _is_whole_group(table) else -1
     frontier = [table.identity_id]
     d = 0
     while frontier and unreached:
@@ -251,18 +268,26 @@ class VerificationReport:
         return lines
 
 
+def _check_tuple_cap(num_reflections, k, cap):
+    checks = sum(num_reflections ** j for j in range(1, k + 1))
+    if checks > cap:
+        raise TooLarge("%d tuple checks exceed cap %d" % (checks, cap))
+
+
 def verify_formulas(table, check_tuples_up_to=0, cap=DEFAULT_CAP):
     """Compare BFS word lengths against the closed-form lengths for every
     element; optionally also check the reducedness criterion on every
-    reflection tuple up to the given length, at most cap tuples in all."""
+    reflection tuple up to the given length, at most cap tuples in all.  On
+    a whole group the cap is checked before the reflections are found."""
+    if _is_whole_group(table):
+        count = reflection_count(table.kind, table.n, table.p)
+        _check_tuple_cap(count, check_tuples_up_to, cap)
     refl = reflections_of(table)
     if not refl:
         raise NoReflections(
             "%s_%d(F_%d) contains no reflections" % (table.kind, table.n, table.p)
         )
-    checks = sum(len(refl) ** k for k in range(1, check_tuples_up_to + 1))
-    if checks > cap:
-        raise TooLarge("%d tuple checks exceed cap %d" % (checks, cap))
+    _check_tuple_cap(len(refl), check_tuples_up_to, cap)
     lt = bfs_lengths(table, refl)
     agreements = 0
     disagreements = 0

@@ -119,18 +119,12 @@ def make_reflection(v, alpha):
 def matrix_of(r):
     """The matrix I + v * alpha^T of the reflection."""
     f = r.field
-    n = r.dim
-    entries = [
-        [
-            f.add(
-                f.one if i == j else f.zero,
-                f.mul(r.v[i], r.alpha[j]),
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Matrix(f, entries)
+    one, zero = f.one, f.zero
+    return Matrix._trusted(f, tuple([
+        tuple([f.add(one if i == j else zero, f.mul(vi, aj))
+               for j, aj in enumerate(r.alpha.entries)])
+        for i, vi in enumerate(r.v.entries)
+    ]))
 
 
 def reflection_from_matrix(M):

@@ -1,8 +1,11 @@
+import random
+import sys
 from itertools import product as iproduct
 
 import pytest
 
-from conftest import F2, F3, F5, random_affine, random_vector
+import affine_reference as ref
+from conftest import F2, F3, F5, random_affine, random_scalar, random_vector
 from reflen import (
     ELLIPTIC,
     HYPERBOLIC,
@@ -26,13 +29,17 @@ from reflen import (
     reflection_length_affine,
 )
 from reflen.affine import compose_all
+from reflen import linalg
 from reflen.errors import (
     NoReflections,
     NotAReflection,
     PointOnHyperplane,
     ShapeMismatch,
 )
+from reflen.fields import GF
 from reflen.oracle import enumerate_group
+
+F65521 = GF(65521)
 
 
 def flip_f3():
@@ -255,3 +262,89 @@ def test_factor_minimal_random(rng):
     for field in (F3, F5, QQ):
         for _ in range(200):
             check_affine_factorization(random_affine(field, 2, rng))
+
+
+def assert_matches_reference(gg):
+    kind = classify(gg)
+    assert kind == ref.classify(gg)
+    assert is_affine_reflection(gg) == ref.is_reflection(gg)
+    assert mov(gg) == ref.mov(gg)
+    assert fix_aff(gg) == ref.fix_aff(gg)
+    assert fix_lin(gg).basis == ref.fix_lin(gg).basis
+    assert reflection_length_affine(gg) == ref.reflection_length(gg)
+    return kind
+
+
+@pytest.mark.parametrize("n,p,has_parabolic",
+                         [(1, 3, False), (2, 2, False), (2, 3, True), (3, 2, True)])
+def test_echelon_queries_match_reference_on_whole_groups(n, p, has_parabolic):
+    table = enumerate_group("GA", n, p)
+    kinds = {assert_matches_reference(table.affine_map(i)) for i in range(len(table))}
+    assert kinds == {ELLIPTIC, HYPERBOLIC} | ({PARABOLIC} if has_parabolic else set())
+
+
+def random_structured_affine(field, n, rng):
+    """g = I + D with D of random rank k <= n, and t either in im D (a fixed
+    point exists) or random, so every class and every dim mov occurs."""
+    while True:
+        k = rng.randint(0, n)
+        D = Matrix.zeros(field, n, n)
+        for _ in range(k):
+            u = Matrix(field, [[random_scalar(field, rng)] for _ in range(n)])
+            w = Matrix(field, [[random_scalar(field, rng) for _ in range(n)]])
+            D = D.add(u.mul(w))
+        g = Matrix.identity(field, n).add(D)
+        if not g.is_invertible():
+            continue
+        if rng.random() < 0.5:
+            t = D.matvec(random_vector(field, n, rng))
+        else:
+            t = random_vector(field, n, rng)
+        return AffineMap(g, t)
+
+
+@pytest.mark.parametrize("field", [QQ, F65521], ids=["Q", "F65521"])
+def test_echelon_queries_match_reference_on_random_maps(field):
+    rng = random.Random(65521)
+    kinds = set()
+    for n in range(1, 7):
+        for _ in range(25):
+            kinds.add(assert_matches_reference(random_structured_affine(field, n, rng)))
+            assert_matches_reference(random_affine(field, n, rng))
+    assert kinds == {ELLIPTIC, PARABOLIC, HYPERBOLIC}
+
+
+def test_echelon_queries_match_reference_on_f2_glides():
+    # rank(g - 1) = 1, (g - 1)^2 = 0 and (g - 1)t != 0: hyperbolic, length 3
+    glide = AffineMap(Matrix(F2, [[1, 0], [1, 1]]), Vector(F2, [1, 0]))
+    assert assert_matches_reference(glide) == HYPERBOLIC
+    assert reflection_length_affine(glide) == 3
+    # same linear part in 3D with t in ker(g - 1) but not in im(g - 1)
+    g3 = Matrix(F2, [[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    assert assert_matches_reference(AffineMap(g3, Vector(F2, [0, 0, 1]))) == PARABOLIC
+    assert assert_matches_reference(AffineMap(g3, Vector(F2, [1, 0, 1]))) == HYPERBOLIC
+
+
+def test_one_elimination_per_affine_query(monkeypatch):
+    real = linalg.rref
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "reflen" and getattr(module, "rref", None) is real:
+            monkeypatch.setattr(module, "rref", counting)
+    maps = [
+        flip_f3(),
+        shift_f3(),
+        swap_shift_f3(),
+        AffineMap(Matrix(F2, [[1, 0], [1, 1]]), Vector(F2, [1, 0])),
+        AffineMap(Matrix(QQ, [[1, 0], [0, -1]]), Vector(QQ, [1, 0])),
+    ]
+    for gg in maps:
+        for query in (classify, reflection_length_affine, is_affine_reflection):
+            calls.clear()
+            query(gg)
+            assert len(calls) == 1, (query.__name__, gg)

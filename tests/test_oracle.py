@@ -12,9 +12,11 @@ from reflen.oracle import (
     ga_order,
     gl_order,
     is_product_of_two_reflections,
+    reflection_count,
     reflections_of,
     verify_formulas,
 )
+from reflen import oracle
 
 
 def test_orders():
@@ -50,6 +52,12 @@ def test_reflection_counts():
     # GA_2(F_2) = S_4: the six transpositions
     assert len(reflections_of(enumerate_group("GA", 2, 2))) == 6
     assert len(reflections_of(enumerate_group("GA", 1, 2))) == 0
+    for kind, n, p in [
+        ("GL", 1, 5), ("GL", 2, 2), ("GL", 2, 3), ("GL", 3, 2), ("GL", 2, 5),
+        ("GA", 1, 2), ("GA", 1, 3), ("GA", 2, 2), ("GA", 2, 3), ("GA", 3, 2),
+    ]:
+        table = enumerate_group(kind, n, p)
+        assert len(reflections_of(table)) == reflection_count(kind, n, p)
 
 
 def test_verify_formulas_small_groups():
@@ -86,6 +94,17 @@ def test_tuple_checks_bounded_by_cap():
     assert verify_formulas(table, check_tuples_up_to=3, cap=39).tuple_checks == 39
     with pytest.raises(TooLarge):
         verify_formulas(table, check_tuples_up_to=3, cap=38)
+
+
+def test_tuple_cap_refused_before_finding_reflections(monkeypatch):
+    def not_called(table):
+        raise AssertionError("reflections_of ran before the cap check")
+
+    monkeypatch.setattr(oracle, "reflections_of", not_called)
+    for kind, n, p in [("GL", 2, 3), ("GA", 2, 3)]:
+        with pytest.raises(TooLarge):
+            verify_formulas(enumerate_group(kind, n, p), check_tuples_up_to=3,
+                            cap=1000)
 
 
 def test_bfs_symmetry_under_inversion():
