@@ -56,27 +56,27 @@ class AffineMap:
         self.translation = translation
 
     @classmethod
+    def _trusted(cls, linear, translation):
+        """An affine map from an invertible n x n linear part and a length-n
+        translation over the same field, taken without checks."""
+        gg = cls.__new__(cls)
+        gg.linear = linear
+        gg.translation = translation
+        return gg
+
+    @classmethod
     def identity(cls, field, n):
-        return cls(Matrix.identity(field, n), Vector.zero(field, n))
+        return cls._trusted(Matrix.identity(field, n), Vector.zero(field, n))
 
     @classmethod
     def translation_by(cls, vec):
-        return cls(Matrix.identity(vec.field, len(vec)), vec)
+        return cls._trusted(Matrix.identity(vec.field, len(vec)), vec)
 
     @classmethod
     def from_block_matrix(cls, B):
+        rows, trans = _block_parts(B)
         f = B.field
-        if B.rows != B.cols or B.rows < 2:
-            raise ShapeMismatch("block form must be (n+1) x (n+1), n >= 1")
-        n = B.rows - 1
-        last = B.entries[n]
-        expected = tuple([f.zero] * n + [f.one])
-        if last != expected:
-            raise ShapeMismatch("last row of block form must be (0, ..., 0, 1)")
-        top = B.entries[:n]
-        linear = Matrix._trusted(f, tuple([row[:n] for row in top]))
-        trans = Vector._trusted(f, tuple([row[n] for row in top]))
-        return cls(linear, trans)
+        return cls(Matrix._trusted(f, rows), Vector._trusted(f, trans))
 
     def block_matrix(self):
         f = self.field
@@ -102,14 +102,14 @@ class AffineMap:
         """self after other (matches block-matrix multiplication)."""
         if other.field != self.field or other.dim != self.dim:
             raise FieldMismatch("composing maps over different spaces")
-        return AffineMap(
+        return AffineMap._trusted(
             self.linear.mul(other.linear),
             self.linear.matvec(other.translation).add(self.translation),
         )
 
     def inverse(self):
         inv = self.linear.inverse()
-        return AffineMap(inv, inv.matvec(self.translation).neg())
+        return AffineMap._trusted(inv, inv.matvec(self.translation).neg())
 
     def is_identity(self):
         return self.linear.is_identity() and self.translation.is_zero()
@@ -129,6 +129,19 @@ class AffineMap:
 
     def __repr__(self):
         return "AffineMap(%r, %r)" % (self.linear, self.translation)
+
+
+def _block_parts(B):
+    """The linear rows and the translation entries of a block matrix
+    [[g, t], [0, 1]], as tuples; checks the shape and the last row."""
+    if B.rows != B.cols or B.rows < 2:
+        raise ShapeMismatch("block form must be (n+1) x (n+1), n >= 1")
+    n = B.rows - 1
+    f = B.field
+    if B.entries[n] != (f.zero,) * n + (f.one,):
+        raise ShapeMismatch("last row of block form must be (0, ..., 0, 1)")
+    top = B.entries[:n]
+    return tuple([row[:n] for row in top]), tuple([row[n] for row in top])
 
 
 class AffineSubspace:
@@ -198,7 +211,7 @@ def include_at(g, a):
         raise FieldMismatch("matrix and point over different fields")
     if not g.is_invertible():
         raise Singular("linear part must be invertible")
-    return AffineMap(g, a.sub(g.matvec(a)))
+    return AffineMap._trusted(g, a.sub(g.matvec(a)))
 
 
 def _echelon(gg):

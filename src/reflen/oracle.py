@@ -55,9 +55,17 @@ def _is_whole_group(table):
 
 class GroupTable:
     """A fully enumerated small group of matrices, in deterministic
-    (lexicographic, row-major) order, with an id lookup by entries."""
+    (lexicographic, row-major) order, with an id lookup by entries.
 
-    __slots__ = ("kind", "n", "p", "field", "elements", "index", "identity_id")
+    A GA table also holds one ``AffineMap`` view per element, built when the
+    table is.  Each distinct linear part is checked for invertibility once,
+    by ``AffineMap.from_block_matrix`` on its first block, and shared by the
+    views of every block with that linear part; every block's shape and last
+    row are checked.
+    """
+
+    __slots__ = ("kind", "n", "p", "field", "elements", "views", "index",
+                 "identity_id")
 
     def __init__(self, kind, n, p, elements):
         self.kind = kind
@@ -65,6 +73,7 @@ class GroupTable:
         self.p = p
         self.field = PrimeField(p)
         self.elements = elements
+        self.views = _affine_views(self.field, elements) if kind == GA else None
         self.index = {m.entries: i for i, m in enumerate(elements)}
         dim = self.matrix_dim
         self.identity_id = self.index[Matrix.identity(self.field, dim).entries]
@@ -82,31 +91,55 @@ class GroupTable:
     def affine_map(self, eid):
         if self.kind != GA:
             raise ShapeMismatch("affine view only for GA tables")
-        return affine.AffineMap.from_block_matrix(self.elements[eid])
+        return self.views[eid]
+
+
+def _affine_views(field, blocks):
+    """One AffineMap per block matrix, sharing one linear part Matrix and one
+    translation Vector among the blocks that have it."""
+    linears = {}
+    translations = {}
+    views = []
+    for B in blocks:
+        rows, trans = affine._block_parts(B)
+        linear = linears.get(rows)
+        if linear is None:
+            # the first block with this linear part gets the full check
+            linear = linears[rows] = affine.AffineMap.from_block_matrix(B).linear
+        vec = translations.get(trans)
+        if vec is None:
+            vec = translations[trans] = Vector._trusted(field, trans)
+        views.append(affine.AffineMap._trusted(linear, vec))
+    return views
 
 
 def _invertible_matrices(field, n):
     """All of GL_n(F_p), rows chosen lexicographically, each row outside the
     span of the previous ones.  Yields matrices in lex order of their
-    flattened entries."""
+    flattened entries.
+
+    Only the first n - 1 rows need a span: any row outside it closes an
+    invertible matrix.
+    """
     p = field.p
     all_rows = list(iproduct(range(p), repeat=n))
 
     def rec(chosen, span):
-        if len(chosen) == n:
-            yield Matrix(field, chosen)
+        if len(chosen) == n - 1:
+            for row in all_rows:
+                if row not in span:
+                    yield Matrix._trusted(field, chosen + (row,))
             return
         for row in all_rows:
             if row in span:
                 continue
-            new_span = set()
-            for s in span:
-                for c in range(p):
-                    new_span.add(tuple((a + c * b) % p for a, b in zip(s, row)))
-            yield from rec(chosen + [row], new_span)
+            new_span = {
+                tuple([(a + c * b) % p for a, b in zip(s, row)])
+                for s in span for c in range(p)
+            }
+            yield from rec(chosen + (row,), new_span)
 
-    zero_span = {tuple([0] * n)}
-    yield from rec([], zero_span)
+    yield from rec((), {(0,) * n})
 
 
 def enumerate_group(kind, n, p, cap=DEFAULT_CAP):
@@ -119,16 +152,16 @@ def enumerate_group(kind, n, p, cap=DEFAULT_CAP):
     if kind == GL:
         elements = list(_invertible_matrices(field, n))
     else:
-        f = field
-        blocks = []
+        last = (0,) * n + (1,)
         translations = list(iproduct(range(p), repeat=n))
+        elements = []
         for g in _invertible_matrices(field, n):
+            # row i of each block is g's row i extended by lam[i]
+            extended = [[row + (c,) for c in range(p)] for row in g.entries]
             for lam in translations:
-                rows = [list(g.entries[i]) + [lam[i]] for i in range(n)]
-                rows.append([0] * n + [1])
-                blocks.append(Matrix(f, rows))
-        blocks.sort(key=lambda m: m.entries)
-        elements = blocks
+                rows = tuple([ext[c] for ext, c in zip(extended, lam)]) + (last,)
+                elements.append(Matrix._trusted(field, rows))
+        elements.sort(key=lambda m: m.entries)
     assert len(elements) == order
     return GroupTable(kind, n, p, elements)
 
@@ -317,7 +350,8 @@ def verify_formulas(table, check_tuples_up_to=0, cap=DEFAULT_CAP):
                 prod = Matrix.identity(table.field, dim)
                 for i in ids:
                     prod = prod.mul(table.elements[i])
-                bfs_len = lt.length(table.id_of(prod))
+                pid = table.id_of(prod)
+                bfs_len = lt.length(pid)
                 if table.kind == GL:
                     S = OrderedFactorization(
                         table.field, dim,
@@ -329,7 +363,7 @@ def verify_formulas(table, check_tuples_up_to=0, cap=DEFAULT_CAP):
                     # block matrix is a GL reflection but not an affine one,
                     # so for GA the tuple is reduced exactly when the affine
                     # length formula gives k.
-                    gg = affine.AffineMap.from_block_matrix(prod)
+                    gg = table.affine_map(pid)
                     reduced = affine.reflection_length_affine(gg) == k
                 tuple_checks += 1
                 if reduced != (bfs_len == k):

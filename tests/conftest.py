@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from reflen import GF, QQ, AffineMap, LinearForm, Matrix, Vector, make_reflection
+from reflen import linalg
 
 
 def random_scalar(field, rng):
@@ -45,6 +47,23 @@ def random_reflection(field, n, rng):
 
 def random_affine(field, n, rng):
     return AffineMap(random_invertible(field, n, rng), random_vector(field, n, rng))
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """A list that records the argument of every ``linalg.rref`` call made
+    anywhere in reflen while the test runs."""
+    real = linalg.rref
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "reflen" and getattr(module, "rref", None) is real:
+            monkeypatch.setattr(module, "rref", counting)
+    return calls
 
 
 @pytest.fixture

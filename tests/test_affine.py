@@ -1,5 +1,4 @@
 import random
-import sys
 from itertools import product as iproduct
 
 import pytest
@@ -29,7 +28,6 @@ from reflen import (
     reflection_length_affine,
 )
 from reflen.affine import compose_all
-from reflen import linalg
 from reflen.errors import (
     NoReflections,
     NotAReflection,
@@ -325,17 +323,8 @@ def test_echelon_queries_match_reference_on_f2_glides():
     assert assert_matches_reference(AffineMap(g3, Vector(F2, [1, 0, 1]))) == HYPERBOLIC
 
 
-def test_one_elimination_per_affine_query(monkeypatch):
-    real = linalg.rref
-    calls = []
-
-    def counting(M):
-        calls.append(M)
-        return real(M)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "reflen" and getattr(module, "rref", None) is real:
-            monkeypatch.setattr(module, "rref", counting)
+def test_one_elimination_per_affine_query(rref_calls):
+    calls = rref_calls
     maps = [
         flip_f3(),
         shift_f3(),
