@@ -18,7 +18,7 @@ from .factorization import (
     factorization_report,
     reflection_length_gl,
 )
-from .linalg import Matrix, image_basis, kernel_basis
+from .linalg import image_basis, kernel_basis
 from .matrixio import field_name, format_matrix, parse_matrices, parse_matrix
 from .reflection import (
     classify_reflection,

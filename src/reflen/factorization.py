@@ -13,7 +13,7 @@ from .linalg import (
     rref,
     solve,
 )
-from .reflection import Reflection, make_reflection
+from .reflection import make_reflection
 
 
 class _Indeterminate:
@@ -143,20 +143,16 @@ def factorization_report(S):
 def _descent_reflection(g):
     """A reflection r with r(g(x)) = x for a deterministically chosen x
     outside K = ker(g - 1), also fixing K pointwise.  Multiplying r * g then
-    grows the fixed space by exactly one dimension."""
+    grows the fixed space by exactly one dimension.
+
+    x is the unit vector of K's first non-pivot column.  No vector of K is
+    zero on all of K's RREF pivot columns, so x is not in K, and neither is
+    gx: g fixes K pointwise, so gx in K would give x = g^-1(gx) in K."""
     f = g.field
     n = g.rows
     K = kernel_basis(g.minus_identity())
     kpivots = {next(j for j, e in enumerate(row) if e != f.zero) for row in K.basis}
-    x = None
-    for j in range(n):
-        if j in kpivots:
-            continue
-        cand = Vector.unit(f, n, j)
-        if not K.contains(g.matvec(cand)):
-            x = cand
-            break
-    assert x is not None, "invertible non-identity g must move some basis direction"
+    x = Vector.unit(f, n, next(j for j in range(n) if j not in kpivots))
     gx = g.matvec(x)
     # Does gx lie in K + span{x}?  Solve gx = z + c*x with z in K.
     cols = K.vectors() + [x]

@@ -46,10 +46,6 @@ class PrimeField:
         self.p = p
 
     @property
-    def size(self):
-        return self.p
-
-    @property
     def zero(self):
         return 0
 
@@ -106,10 +102,6 @@ class RationalField:
     """The field Q of exact rationals."""
 
     is_prime_field = False
-
-    @property
-    def size(self):
-        return None
 
     @property
     def zero(self):

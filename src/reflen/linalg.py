@@ -184,9 +184,6 @@ class Matrix:
     def from_cols(cls, field, vectors):
         return cls(field, [v.entries for v in vectors]).transpose()
 
-    def row(self, i):
-        return Vector(self.field, self.entries[i])
-
     def col(self, j):
         return Vector(self.field, [self.entries[i][j] for i in range(self.rows)])
 
@@ -274,9 +271,6 @@ class Matrix:
 
     def is_invertible(self):
         return self.rows == self.cols and rref(self)[1] == self.rows
-
-    def rank(self):
-        return rref(self)[1]
 
     def inverse(self):
         if self.rows != self.cols:

@@ -1,19 +1,19 @@
 """Brute-force ground truth on small groups: enumerate GL_n(F_p) or
-GA_n(F_p), find the reflections by definition, BFS the Cayley graph over
-them, and compare the resulting word lengths against the closed-form
-formulas.
+GA_n(F_p), build the reflections from their (v, alpha) pairs and look them
+up in the table, BFS the Cayley graph over them, and compare the resulting
+word lengths against the closed-form formulas.
 """
 
 from itertools import product as iproduct
 from operator import itemgetter
 
 from . import affine
-from .errors import NoReflections, NotClosed, NotPrime, ShapeMismatch, TooLarge
-from .factorization import reflection_length_gl
+from .errors import NoReflections, NotClosed, ShapeMismatch, TooLarge
+from .factorization import OrderedFactorization, is_reduced, reflection_length_gl
 from .fields import PrimeField
-from .linalg import LinearForm, Matrix, Vector, rref
+from .linalg import LinearForm, Matrix, Vector
 from .reflection import classify_reflection, is_reflection_matrix, make_reflection, \
-    reflection_from_matrix
+    matrix_of
 
 GL = "GL"
 GA = "GA"
@@ -33,19 +33,6 @@ def gl_order(n, p):
 
 def ga_order(n, p):
     return p**n * gl_order(n, p)
-
-
-def reflection_count(kind, n, p):
-    """The number of reflections in GL_n(F_p) or GA_n(F_p).
-
-    GL: the rank-one I + v alpha^T, one per line [v] and form alpha != 0
-    with alpha(v) != -1.  GA: each of the p (p^n - 1)/(p - 1) affine
-    hyperplanes is fixed pointwise by x |-> x + alpha(x - c) w for the
-    p^n - p^(n-1) vectors w with alpha(w) != -1, one of them the identity.
-    """
-    if kind == GL:
-        return (p**n - 1) * (p**n - p ** (n - 1) - 1) // (p - 1)
-    return p * (p**n - 1) // (p - 1) * (p**n - p ** (n - 1) - 1)
 
 
 def _is_whole_group(table):
@@ -145,6 +132,8 @@ def _invertible_matrices(field, n):
 def enumerate_group(kind, n, p, cap=DEFAULT_CAP):
     if kind not in (GL, GA):
         raise ShapeMismatch("kind must be GL or GA")
+    if n < 1:
+        raise ShapeMismatch("dimension must be at least 1, got %d" % n)
     field = PrimeField(p)  # raises NotPrime for bad p
     order = gl_order(n, p) if kind == GL else ga_order(n, p)
     if order > cap:
@@ -167,17 +156,34 @@ def enumerate_group(kind, n, p, cap=DEFAULT_CAP):
 
 
 def reflections_of(table):
-    """Element ids of the reflections, straight from the definition: a
-    codimension-1 space fixed pointwise."""
-    out = set()
-    for i, m in enumerate(table.elements):
+    """The reflections in the table: a dict from element id, in id order, to
+    the ``Reflection`` (v, alpha) of the element, or for GA of its linear
+    part.
+
+    Each reflection is built from its pair and looked up, so nothing is
+    eliminated.  GL's are the I + v alpha^T of ``enumerate_reflections``.
+    An affine map fixes a hyperplane pointwise exactly when its linear part
+    is a reflection and its translation lies on the moved line [v], so GA's
+    are the p blocks [[I + v alpha^T, s v], [0, 1]], s in F_p.  v has
+    leading entry 1, so each pair is the one ``reflection_from_matrix``
+    recovers.  Pairs whose element is missing from a hand-built table are
+    skipped.
+    """
+    p = table.p
+    last = (0,) * table.n + (1,)
+    out = {}
+    for r in enumerate_reflections(table.field, table.n):
+        rows = matrix_of(r).entries
         if table.kind == GL:
-            if rref(m.minus_identity())[1] == 1:
-                out.add(i)
+            keys = (rows,)
         else:
-            if affine.is_affine_reflection(table.affine_map(i)):
-                out.add(i)
-    return out
+            keys = [tuple([row + (s * c % p,) for row, c in zip(rows, r.v.entries)])
+                    + (last,) for s in range(p)]
+        for key in keys:
+            eid = table.index.get(key)
+            if eid is not None:
+                out[eid] = r
+    return dict(sorted(out.items()))
 
 
 class LengthTable:
@@ -301,26 +307,19 @@ class VerificationReport:
         return lines
 
 
-def _check_tuple_cap(num_reflections, k, cap):
-    checks = sum(num_reflections ** j for j in range(1, k + 1))
-    if checks > cap:
-        raise TooLarge("%d tuple checks exceed cap %d" % (checks, cap))
-
-
 def verify_formulas(table, check_tuples_up_to=0, cap=DEFAULT_CAP):
     """Compare BFS word lengths against the closed-form lengths for every
     element; optionally also check the reducedness criterion on every
-    reflection tuple up to the given length, at most cap tuples in all.  On
-    a whole group the cap is checked before the reflections are found."""
-    if _is_whole_group(table):
-        count = reflection_count(table.kind, table.n, table.p)
-        _check_tuple_cap(count, check_tuples_up_to, cap)
+    reflection tuple up to the given length, at most cap tuples in all.  The
+    cap is checked before any length is computed."""
     refl = reflections_of(table)
     if not refl:
         raise NoReflections(
             "%s_%d(F_%d) contains no reflections" % (table.kind, table.n, table.p)
         )
-    _check_tuple_cap(len(refl), check_tuples_up_to, cap)
+    checks = sum(len(refl) ** k for k in range(1, check_tuples_up_to + 1))
+    if checks > cap:
+        raise TooLarge("%d tuple checks exceed cap %d" % (checks, cap))
     lt = bfs_lengths(table, refl)
     agreements = 0
     disagreements = 0
@@ -336,28 +335,19 @@ def verify_formulas(table, check_tuples_up_to=0, cap=DEFAULT_CAP):
                 first = (eid, got, expected)
     tuple_checks = 0
     tuple_failures = 0
-    if check_tuples_up_to:
-        from .factorization import OrderedFactorization, is_reduced
-
-        refl_sorted = sorted(refl)
-        dim = table.matrix_dim
-        # reducedness of a tuple versus the BFS length of its product
-        def tuples(k):
-            return iproduct(refl_sorted, repeat=k)
-
-        for k in range(1, check_tuples_up_to + 1):
-            for ids in tuples(k):
-                prod = Matrix.identity(table.field, dim)
-                for i in ids:
-                    prod = prod.mul(table.elements[i])
-                pid = table.id_of(prod)
-                bfs_len = lt.length(pid)
+    # reducedness of each tuple versus the BFS length of its product; the
+    # tuples of one length extend those of the length before, so a product
+    # is its prefix's product times one reflection
+    prefixes = [((), table.identity_id)]
+    for k in range(1, check_tuples_up_to + 1):
+        longer = []
+        for factors, prefix_id in prefixes:
+            prefix = table.elements[prefix_id]
+            for i, r in refl.items():
+                tup = factors + (r,)
+                pid = table.id_of(prefix.mul(table.elements[i]))
                 if table.kind == GL:
-                    S = OrderedFactorization(
-                        table.field, dim,
-                        [reflection_from_matrix(table.elements[i]) for i in ids],
-                    )
-                    reduced = is_reduced(S)
+                    reduced = is_reduced(OrderedFactorization(table.field, table.n, tup))
                 else:
                     # The subspace criterion lives in GL; a translation's
                     # block matrix is a GL reflection but not an affine one,
@@ -366,8 +356,11 @@ def verify_formulas(table, check_tuples_up_to=0, cap=DEFAULT_CAP):
                     gg = table.affine_map(pid)
                     reduced = affine.reflection_length_affine(gg) == k
                 tuple_checks += 1
-                if reduced != (bfs_len == k):
+                if reduced != (lt.length(pid) == k):
                     tuple_failures += 1
+                if k < check_tuples_up_to:
+                    longer.append((tup, pid))
+        prefixes = longer
     return VerificationReport(
         table.kind, table.n, table.p, len(table), agreements, disagreements,
         first, tuple_checks, tuple_failures,
@@ -438,10 +431,8 @@ def census(table):
     notes = []
     if table.kind == GL:
         kind_counts = {"semisimple": 0, "transvection": 0}
-        for eid in refl:
-            r = reflection_from_matrix(table.elements[eid])
-            key = classify_reflection(r).name
-            kind_counts[key] += 1
+        for r in refl.values():
+            kind_counts[classify_reflection(r).name] += 1
         return CensusReport(
             table.kind, table.n, table.p, len(table), len(refl),
             length_counts, kind_counts=kind_counts, unreachable=unreachable,
@@ -477,8 +468,8 @@ def census(table):
 
 
 def enumerate_reflections(field, n):
-    """All reflection matrices of GL_n(F_p): canonical lines (leading entry
-    1) paired with every admissible form."""
+    """All reflections of GL_n(F_p), each once, as (v, alpha) pairs:
+    canonical lines (leading entry 1) paired with every admissible form."""
     p = field.p
     lines = []
     for tup in iproduct(range(p), repeat=n):

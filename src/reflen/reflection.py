@@ -15,7 +15,7 @@ from .errors import (
     ZeroForm,
     ZeroVector,
 )
-from .linalg import LinearForm, Matrix, Vector, image_basis, rref
+from .linalg import LinearForm, Matrix, image_basis, rref
 
 
 class Reflection:

@@ -166,6 +166,14 @@ def test_exit_code_domain_error(tmp_path):
     assert code == 3
 
 
+def test_exit_code_dimension_below_one():
+    for argv in (["verify", "GL", "0", "2"], ["census", "GA", "0", "3"],
+                 ["verify", "GL", "-1", "2"]):
+        code, out = run(argv)
+        assert code == 3, argv
+        assert out == ""
+
+
 def test_verify_tuples_over_cap_refused():
     # 570 + 570^2 + 570^3 tuple checks are refused before any product
     code, out = run(["verify", "GA", "2", "5", "--tuples", "3"])

@@ -1,17 +1,22 @@
-"""Metamorphic properties of reflection length at sizes the oracle cannot
-reach: n <= 6 over F_7, F_65521 and Q.
+"""Metamorphic properties of reflection length, and the postconditions of
+minimal factorizations, at sizes the oracle cannot reach: n <= 6 over F_7,
+F_65521 and Q.
 
 Length is a class function, is invariant under inversion, and moves by at
 most length(h) under multiplication by h.  The affine suite also checks that
 every ``compose``/``inverse`` result has an invertible linear part, since
-both build their results without re-checking it.
+both build their results without re-checking it.  A minimal factorization
+has as many factors as the length, gives back its input, and consists of
+reflections; in GL it is also reduced.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_scalar, random_vector
-from reflen import QQ, AffineMap, GF, Matrix, reflection_length_affine, \
-    reflection_length_gl
+from reflen import QQ, AffineMap, GF, Matrix, factor_minimal_affine, factor_minimal_gl, \
+    is_affine_reflection, is_reduced, reflection_length_affine, reflection_length_gl
+from reflen.affine import compose_all
+from reflen.reflection import is_reflection_matrix
 
 FIELDS = st.sampled_from([GF(7), GF(65521), QQ])
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -44,15 +49,16 @@ def structured_affine(field, n, rng):
 
 
 @st.composite
-def pairs(draw, build):
+def samples(draw, build, count):
+    """count elements of one group, built from one seeded generator."""
     field = draw(FIELDS)
     n = draw(st.integers(min_value=1, max_value=6))
     rng = draw(st.randoms(use_true_random=False))
-    return build(field, n, rng), build(field, n, rng)
+    return tuple(build(field, n, rng) for _ in range(count))
 
 
 @SETTINGS
-@given(pairs(structured_invertible))
+@given(samples(structured_invertible, 2))
 def test_gl_length_metamorphic(gh):
     g, h = gh
     length = reflection_length_gl(g)
@@ -63,7 +69,7 @@ def test_gl_length_metamorphic(gh):
 
 
 @SETTINGS
-@given(pairs(structured_affine))
+@given(samples(structured_affine, 2))
 def test_ga_length_metamorphic(gh):
     gg, hh = gh
     length = reflection_length_affine(gg)
@@ -77,3 +83,24 @@ def test_ga_length_metamorphic(gh):
     assert reflection_length_affine(gg_inv) == length
     assert abs(reflection_length_affine(product) - length) <= \
         reflection_length_affine(hh)
+
+
+@SETTINGS
+@given(samples(structured_invertible, 1))
+def test_gl_factorization_postconditions(gs):
+    g, = gs
+    S = factor_minimal_gl(g)
+    assert len(S) == reflection_length_gl(g)
+    assert S.product() == g
+    assert all(is_reflection_matrix(r.matrix()) for r in S.factors)
+    assert is_reduced(S)
+
+
+@SETTINGS
+@given(samples(structured_affine, 1))
+def test_ga_factorization_postconditions(ggs):
+    gg, = ggs
+    factors = factor_minimal_affine(gg)
+    assert len(factors) == reflection_length_affine(gg)
+    assert compose_all(factors, gg.field, gg.dim) == gg
+    assert all(is_affine_reflection(f) for f in factors)

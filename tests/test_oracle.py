@@ -1,8 +1,9 @@
 import pytest
 
+import reflections_reference as ref
 from conftest import F5
 from reflen import Matrix
-from reflen.errors import NoReflections, NotPrime, TooLarge
+from reflen.errors import NoReflections, NotPrime, ShapeMismatch, TooLarge
 from reflen.factorization import factor_minimal_gl, reflection_length_gl
 from reflen.oracle import (
     bfs_lengths,
@@ -12,11 +13,30 @@ from reflen.oracle import (
     ga_order,
     gl_order,
     is_product_of_two_reflections,
-    reflection_count,
     reflections_of,
     verify_formulas,
 )
 from reflen import oracle
+from reflen.reflection import matrix_of, reflection_from_matrix
+
+REFLECTION_GROUPS = [
+    ("GL", 1, 5), ("GL", 2, 2), ("GL", 2, 3), ("GL", 2, 5), ("GL", 2, 7),
+    ("GL", 3, 2), ("GA", 1, 2), ("GA", 1, 3), ("GA", 2, 2), ("GA", 2, 3),
+    ("GA", 2, 5), ("GA", 3, 2),
+]
+
+
+def reflection_count(kind, n, p):
+    """The number of reflections in GL_n(F_p) or GA_n(F_p), in closed form.
+
+    GL: the rank-one I + v alpha^T, one per line [v] and form alpha != 0
+    with alpha(v) != -1.  GA: each of the p (p^n - 1)/(p - 1) affine
+    hyperplanes is fixed pointwise by x |-> x + alpha(x - c) w for the
+    p^n - p^(n-1) vectors w with alpha(w) != -1, one of them the identity.
+    """
+    if kind == "GL":
+        return (p**n - 1) * (p**n - p ** (n - 1) - 1) // (p - 1)
+    return p * (p**n - 1) // (p - 1) * (p**n - p ** (n - 1) - 1)
 
 
 def test_orders():
@@ -43,6 +63,9 @@ def test_enumerate_group_errors():
         enumerate_group("GL", 3, 5, cap=1000)
     with pytest.raises(NotPrime):
         enumerate_group("GL", 2, 4)
+    for kind, n in [("GL", 0), ("GA", 0), ("GL", -1)]:
+        with pytest.raises(ShapeMismatch):
+            enumerate_group(kind, n, 3)
 
 
 def test_reflection_counts():
@@ -52,12 +75,28 @@ def test_reflection_counts():
     # GA_2(F_2) = S_4: the six transpositions
     assert len(reflections_of(enumerate_group("GA", 2, 2))) == 6
     assert len(reflections_of(enumerate_group("GA", 1, 2))) == 0
-    for kind, n, p in [
-        ("GL", 1, 5), ("GL", 2, 2), ("GL", 2, 3), ("GL", 3, 2), ("GL", 2, 5),
-        ("GA", 1, 2), ("GA", 1, 3), ("GA", 2, 2), ("GA", 2, 3), ("GA", 3, 2),
-    ]:
+
+
+@pytest.mark.parametrize("kind,n,p", REFLECTION_GROUPS)
+def test_reflections_match_reference(kind, n, p):
+    table = enumerate_group(kind, n, p)
+    refl = reflections_of(table)
+    assert list(refl) == ref.reflection_ids(table)
+    assert len(refl) == reflection_count(kind, n, p)
+    for eid, r in refl.items():
+        linear = (table.elements[eid] if kind == "GL"
+                  else table.affine_map(eid).linear)
+        assert matrix_of(r) == linear
+        expected = reflection_from_matrix(linear)
+        assert (r.v, r.alpha) == (expected.v, expected.alpha)
+
+
+def test_reflections_of_eliminates_nothing(rref_calls):
+    for kind, n, p in [("GL", 3, 2), ("GA", 2, 3)]:
         table = enumerate_group(kind, n, p)
+        rref_calls.clear()
         assert len(reflections_of(table)) == reflection_count(kind, n, p)
+        assert rref_calls == []
 
 
 def test_verify_formulas_small_groups():
@@ -96,15 +135,17 @@ def test_tuple_checks_bounded_by_cap():
         verify_formulas(table, check_tuples_up_to=3, cap=38)
 
 
-def test_tuple_cap_refused_before_finding_reflections(monkeypatch):
-    def not_called(table):
-        raise AssertionError("reflections_of ran before the cap check")
+def test_tuple_cap_refused_before_any_elimination(monkeypatch, rref_calls):
+    def not_called(table, gens):
+        raise AssertionError("bfs_lengths ran before the cap check")
 
-    monkeypatch.setattr(oracle, "reflections_of", not_called)
+    monkeypatch.setattr(oracle, "bfs_lengths", not_called)
     for kind, n, p in [("GL", 2, 3), ("GA", 2, 3)]:
+        table = enumerate_group(kind, n, p)
+        rref_calls.clear()
         with pytest.raises(TooLarge):
-            verify_formulas(enumerate_group(kind, n, p), check_tuples_up_to=3,
-                            cap=1000)
+            verify_formulas(table, check_tuples_up_to=3, cap=1000)
+        assert rref_calls == []
 
 
 def test_bfs_symmetry_under_inversion():
