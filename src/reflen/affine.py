@@ -376,44 +376,35 @@ def _elliptic_factors(gg):
 
 def _parabolic_mirror(gg):
     """An affine hyperplane whose direction contains fix_lin(gg) and which
-    misses both a and gg(a), for a deterministically chosen probe point a."""
+    misses both a and gg(a), for a deterministically chosen probe point a.
+    The mirror is the coset phi(x) = c of the kernel of a form phi."""
     f = gg.field
     n = gg.dim
-    L = fix_lin(gg)
-    two_element = f.is_prime_field and f.p == 2
-    if not two_element:
+    if not (f.is_prime_field and f.p == 2):
+        # a = 0.  The forms vanishing on fix_lin(gg) are the row space of
+        # g - 1, and phi is its first RREF row.  c must avoid phi(a) = 0 and
+        # phi(gg(a)) = phi(t); outside characteristic 2, one of 0, 1, 2 does.
         a = Vector.zero(f, n)
-        phi_vec = annihilator(L).vectors()[0]
-        phi = LinearForm(f, phi_vec.entries)
-        banned = {phi(a), phi(gg.apply(a))}
-        c = next(x for x in f.elements() if x not in banned) \
-            if f.is_prime_field else _first_rational_not_in(f, banned)
-        # base point with phi = c along phi's leading coordinate.
-        j = next(i for i, e in enumerate(phi.entries) if e != f.zero)
-        base = Vector.unit(f, n, j).scale(f.div(c, phi[j]))
-        return a, AffineSubspace(base, kernel_basis(Matrix(f, [phi.entries])))
-    # F_2: find a with W = L + span(gg(a) - a) proper, then use the coset of
-    # a hyperplane containing W that avoids a (and hence gg(a)).
-    candidates = [Vector.zero(f, n)] + [Vector.unit(f, n, i) for i in range(n)]
-    for a in candidates:
-        motion = gg.apply(a).sub(a)
-        W = subspace_sum(L, SubspaceBasis.from_vectors(f, n, [motion]))
-        if not W.is_full():
-            phi_vec = annihilator(W).vectors()[0]
-            phi = LinearForm(f, phi_vec.entries)
-            # mirror coset: phi(x) = phi(a) + 1.
-            c = f.add(phi(a), f.one)
-            j = next(i for i, e in enumerate(phi.entries) if e != f.zero)
-            base = Vector.unit(f, n, j).scale(f.div(c, phi[j]))
-            return a, AffineSubspace(base, kernel_basis(Matrix(f, [phi.entries])))
-    raise AssertionError("parabolic element must admit a non-covering probe point")
-
-
-def _first_rational_not_in(f, banned):
-    x = f.zero
-    while x in banned:
-        x = f.add(x, f.one)
-    return x
+        phi = LinearForm(f, rref(gg.linear.minus_identity())[0].entries[0])
+        banned = {f.zero, phi(gg.translation)}
+        c = next(x for x in (f.zero, f.one, f.add(f.one, f.one)) if x not in banned)
+    else:
+        # F_2: find a with W = L + span(gg(a) - a) proper, then use the coset
+        # of a hyperplane containing W that avoids a (and hence gg(a)).
+        L = fix_lin(gg)
+        for a in [Vector.zero(f, n)] + [Vector.unit(f, n, i) for i in range(n)]:
+            motion = gg.apply(a).sub(a)
+            W = subspace_sum(L, SubspaceBasis.from_vectors(f, n, [motion]))
+            if not W.is_full():
+                break
+        else:
+            raise AssertionError("parabolic element must admit a non-covering probe point")
+        phi = LinearForm(f, annihilator(W).vectors()[0].entries)
+        c = f.add(phi(a), f.one)
+    # base point with phi = c along phi's leading coordinate.
+    j = next(i for i, e in enumerate(phi.entries) if e != f.zero)
+    base = Vector.unit(f, n, j).scale(f.div(c, phi[j]))
+    return a, AffineSubspace(base, kernel_basis(Matrix(f, [phi.entries])))
 
 
 def factor_minimal_affine(gg):

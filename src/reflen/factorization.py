@@ -4,15 +4,7 @@ greedy construction of minimal factorizations.
 """
 
 from .errors import FieldMismatch, ShapeMismatch, Singular
-from .linalg import (
-    LinearForm,
-    Matrix,
-    SubspaceBasis,
-    Vector,
-    kernel_basis,
-    rref,
-    solve,
-)
+from .linalg import LinearForm, Matrix, SubspaceBasis, Vector, kernel_basis, rref
 from .reflection import make_reflection
 
 
@@ -108,72 +100,75 @@ def reflection_length_gl(g):
     return rref(g.minus_identity())[1]
 
 
+def _ranks(S):
+    """(dim V_S, codim V^S) of a tuple: the ranks of the k x n matrices of
+    its vectors and of its forms, since V^S is the common kernel of the
+    forms."""
+    if not S.factors:
+        return 0, 0
+    f = S.field
+    vectors = Matrix._trusted(f, tuple([r.v.entries for r in S.factors]))
+    forms = Matrix._trusted(f, tuple([r.alpha.entries for r in S.factors]))
+    return rref(vectors)[1], rref(forms)[1]
+
+
 def is_reduced(S):
-    moved, fixed = s_spaces(S)
+    """True iff dim V_S = codim V^S = k: the k vectors are independent and
+    the k forms are independent."""
     k = len(S)
-    return fixed.codim == k and moved.dim == k
+    return _ranks(S) == (k, k)
 
 
 def length_from_factorization(S):
     """Length of the product read off the tuple alone, when the criterion
     applies: codim of the fixed intersection equal to k gives dim of the moved
     span, and dually; otherwise INDETERMINATE."""
-    moved, fixed = s_spaces(S)
+    dim, codim = _ranks(S)
     k = len(S)
-    if fixed.codim == k:
-        return moved.dim
-    if moved.dim == k:
-        return fixed.codim
+    if codim == k:
+        return dim
+    if dim == k:
+        return codim
     return INDETERMINATE
 
 
 def factorization_report(S):
-    moved, fixed = s_spaces(S)
+    dim, codim = _ranks(S)
     k = len(S)
     return FactorizationReport(
         k=k,
-        vS_dim=moved.dim,
-        vS_codim=fixed.codim,
+        vS_dim=dim,
+        vS_codim=codim,
         product=S.product(),
-        reduced=(fixed.codim == k and moved.dim == k),
+        reduced=(dim == k and codim == k),
         length_by_criterion=length_from_factorization(S),
     )
 
 
 def _descent_reflection(g):
-    """A reflection r with r(g(x)) = x for a deterministically chosen x
-    outside K = ker(g - 1), also fixing K pointwise.  Multiplying r * g then
-    grows the fixed space by exactly one dimension.
+    """A reflection r that fixes K = ker(g - 1) pointwise and sends g(x) to
+    x for a deterministically chosen x outside K.  Multiplying r * g then
+    grows the fixed space by exactly one dimension, to K + span{x}.
 
-    x is the unit vector of K's first non-pivot column.  No vector of K is
-    zero on all of K's RREF pivot columns, so x is not in K, and neither is
-    gx: g fixes K pointwise, so gx in K would give x = g^-1(gx) in K."""
+    Everything is read off one elimination: the nonzero rows rho_1, ...,
+    rho_k of rref(g - 1) span the forms that vanish on K.  x is the unit
+    vector of the first pivot column, so rho_i(x) = [i = 1] and x is not in
+    K.  Neither is y = g(x): g fixes K pointwise, so y in K would give
+    x = g^-1(y) in K.  Hence some c_i = rho_i(y) is nonzero; let i be the
+    first.  alpha = rho_i / c_i, plus rho_1 when i > 1, vanishes on K, has
+    alpha(y) = 1 (c_1 = 0 when i > 1) and alpha(x) != 0 (1 / c_1 when
+    i = 1, else 1).  So r(z) = z + alpha(z)(x - y) sends y to x, fixes K,
+    and is invertible, since 1 + alpha(x - y) = alpha(x) != 0."""
     f = g.field
-    n = g.rows
-    K = kernel_basis(g.minus_identity())
-    kpivots = {next(j for j, e in enumerate(row) if e != f.zero) for row in K.basis}
-    x = Vector.unit(f, n, next(j for j in range(n) if j not in kpivots))
-    gx = g.matvec(x)
-    # Does gx lie in K + span{x}?  Solve gx = z + c*x with z in K.
-    cols = K.vectors() + [x]
-    rep = solve(Matrix.from_cols(f, cols), gx)
-    conditions = list(K.vectors())
-    rhs = [f.zero] * len(conditions)
-    if not rep.empty:
-        c = rep.particular[len(cols) - 1]
-        conditions.append(x)
-        rhs.append(f.inv(c))
-    else:
-        conditions.append(x)
-        rhs.append(f.one)
-        conditions.append(gx)
-        rhs.append(f.one)
-    sol = solve(Matrix.from_rows(f, conditions), Vector(f, rhs))
-    assert not sol.empty
-    alpha = LinearForm(f, sol.particular.entries)
-    # Normalize so alpha(gx) = 1; then r(gx) = gx + (x - gx) = x.
-    alpha = alpha.scale(f.inv(alpha(gx)))
-    return make_reflection(x.sub(gx), alpha)
+    red, _, pivots = rref(g.minus_identity())
+    x = Vector.unit(f, g.rows, pivots[0])
+    y = g.matvec(x)
+    c = red.matvec(y)
+    i = next(i for i, ci in enumerate(c) if ci != f.zero)
+    alpha = Vector._trusted(f, red.entries[i]).scale(f.inv(c[i]))
+    if i:
+        alpha = alpha.add(Vector._trusted(f, red.entries[0]))
+    return make_reflection(x.sub(y), LinearForm(f, alpha.entries))
 
 
 def factor_minimal_gl(g):

@@ -180,10 +180,6 @@ class Matrix:
     def from_rows(cls, field, vectors):
         return cls(field, [v.entries for v in vectors])
 
-    @classmethod
-    def from_cols(cls, field, vectors):
-        return cls(field, [v.entries for v in vectors]).transpose()
-
     def col(self, j):
         return Vector(self.field, [self.entries[i][j] for i in range(self.rows)])
 

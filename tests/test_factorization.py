@@ -4,6 +4,7 @@ import pytest
 
 from conftest import F2, F3, F5, random_invertible, random_reflection
 from reflen import (
+    GF,
     INDETERMINATE,
     QQ,
     LinearForm,
@@ -21,7 +22,7 @@ from reflen import (
     s_spaces,
 )
 from reflen.errors import Singular
-from reflen.oracle import enumerate_group
+from reflen.oracle import enumerate_group, reflections_of
 from reflen.reflection import is_reflection_matrix, reflection_from_matrix
 
 COORD_FORMS = [
@@ -186,3 +187,49 @@ def test_length_subadditivity(rng):
         assert reflection_length_gl(g.mul(h)) <= (
             reflection_length_gl(g) + reflection_length_gl(h)
         )
+
+
+def test_factor_minimal_one_elimination_per_factor(rng, rref_calls):
+    # the invertibility check, then one rref(g - 1) per descent step
+    for field in (F2, GF(7), QQ):
+        for n in range(3, 7):
+            for _ in range(3):
+                g = random_invertible(field, n, rng)
+                length = reflection_length_gl(g)
+                rref_calls.clear()
+                factor_minimal_gl(g)
+                assert len(rref_calls) == 1 + length
+
+
+def test_is_reduced_two_eliminations(rng, rref_calls):
+    for k in range(1, 5):
+        S = OrderedFactorization(F5, 3, [random_reflection(F5, 3, rng) for _ in range(k)])
+        rref_calls.clear()
+        is_reduced(S)
+        assert len(rref_calls) == 2
+
+
+def check_ranks_match_spaces(S):
+    moved, fixed = s_spaces(S)
+    fr = factorization_report(S)
+    assert (fr.vS_dim, fr.vS_codim) == (moved.dim, fixed.codim)
+    k = len(S)
+    assert is_reduced(S) == (moved.dim == k and fixed.codim == k)
+
+
+def test_ranks_match_spaces_exhaustive_gl2_f3():
+    refl = list(reflections_of(enumerate_group("GL", 2, 3)).values())
+    check_ranks_match_spaces(OrderedFactorization(F3, 2, []))
+    for k in (1, 2):
+        for combo in iproduct(refl, repeat=k):
+            check_ranks_match_spaces(OrderedFactorization(F3, 2, combo))
+
+
+def test_ranks_match_spaces_random(rng):
+    for field in (F5, QQ):
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            k = rng.randint(1, 4)
+            check_ranks_match_spaces(OrderedFactorization(
+                field, n, [random_reflection(field, n, rng) for _ in range(k)]
+            ))

@@ -1,5 +1,5 @@
 """Metamorphic properties of reflection length, and the postconditions of
-minimal factorizations, at sizes the oracle cannot reach: n <= 6 over F_7,
+minimal factorizations, at sizes the oracle cannot reach: n <= 8 over F_7,
 F_65521 and Q.
 
 Length is a class function, is invariant under inversion, and moves by at
@@ -52,7 +52,7 @@ def structured_affine(field, n, rng):
 def samples(draw, build, count):
     """count elements of one group, built from one seeded generator."""
     field = draw(FIELDS)
-    n = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=8))
     rng = draw(st.randoms(use_true_random=False))
     return tuple(build(field, n, rng) for _ in range(count))
 

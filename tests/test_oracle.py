@@ -128,6 +128,19 @@ def test_tuple_criterion_against_bfs():
     assert report.tuple_failures == 0
 
 
+def test_ga_tuple_check_eliminates_nothing(rref_calls):
+    # the GA tuple answers are read off the formula pass's lengths
+    table = enumerate_group("GA", 2, 3)
+    rref_calls.clear()
+    plain = verify_formulas(table)
+    without = len(rref_calls)
+    rref_calls.clear()
+    report = verify_formulas(table, check_tuples_up_to=2)
+    assert len(rref_calls) == without
+    assert report.agreements == plain.agreements
+    assert report.tuple_checks > 0 and report.tuple_failures == 0
+
+
 def test_tuple_checks_bounded_by_cap():
     table = enumerate_group("GL", 2, 2)
     assert verify_formulas(table, check_tuples_up_to=3, cap=39).tuple_checks == 39
