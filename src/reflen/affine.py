@@ -371,7 +371,9 @@ def _elliptic_factors(gg):
     """Lift a minimal linear factorization through the fixed point."""
     a = fix_aff(gg).base
     S = factor_minimal_gl(gg.linear)
-    return [include_at(matrix_of(r), a) for r in S.factors]
+    # a reflection matrix is invertible, so include_at's check is skipped
+    return [AffineMap._trusted(m, a.sub(m.matvec(a)))
+            for m in map(matrix_of, S.factors)]
 
 
 def _parabolic_mirror(gg):

@@ -97,6 +97,12 @@ def reflection_length_gl(g):
     """rank(g - I), which is the reflection length of an invertible g."""
     if not g.is_invertible():
         raise Singular("reflection length requires an invertible matrix")
+    return _rank_minus_identity(g)
+
+
+def _rank_minus_identity(g):
+    """rank(g - I) from one elimination, for callers that know g is
+    invertible."""
     return rref(g.minus_identity())[1]
 
 
@@ -123,8 +129,10 @@ def length_from_factorization(S):
     """Length of the product read off the tuple alone, when the criterion
     applies: codim of the fixed intersection equal to k gives dim of the moved
     span, and dually; otherwise INDETERMINATE."""
-    dim, codim = _ranks(S)
-    k = len(S)
+    return _length_from_ranks(len(S), *_ranks(S))
+
+
+def _length_from_ranks(k, dim, codim):
     if codim == k:
         return dim
     if dim == k:
@@ -141,7 +149,7 @@ def factorization_report(S):
         vS_codim=codim,
         product=S.product(),
         reduced=(dim == k and codim == k),
-        length_by_criterion=length_from_factorization(S),
+        length_by_criterion=_length_from_ranks(k, dim, codim),
     )
 
 

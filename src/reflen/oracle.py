@@ -9,7 +9,7 @@ from operator import itemgetter
 
 from . import affine
 from .errors import NoReflections, NotClosed, ShapeMismatch, TooLarge
-from .factorization import OrderedFactorization, is_reduced, reflection_length_gl
+from .factorization import _rank_minus_identity
 from .fields import PrimeField
 from .linalg import LinearForm, Matrix, Vector
 from .reflection import classify_reflection, is_reflection_matrix, make_reflection, \
@@ -199,41 +199,72 @@ class LengthTable:
         return self.lengths[eid] != UNREACHED
 
 
-def bfs_lengths(table, gens):
-    """Exact word length of every element over the generator set, by BFS.
+class CayleyTable:
+    """Right multiplication of a table's elements by a generator set, with no
+    arithmetic.
 
     Right multiplication acts on each row alone: row_i(x g) = row_i(x) g.  So
     the distinct rows of the table are numbered once, each element becomes
     the tuple of its row numbers, and each generator becomes the list of its
     action on row numbers; a product is then one lookup per row and one dict
-    probe, with no arithmetic.
+    probe.  Generators are taken in id order.
+    """
+
+    __slots__ = ("gens", "element_rows", "acts", "index")
+
+    def __init__(self, table, gens):
+        p = table.p
+        row_ids = {}
+        self.element_rows = [
+            tuple([row_ids.setdefault(row, len(row_ids)) for row in m.entries])
+            for m in table.elements
+        ]
+        rows = list(row_ids)
+        self.gens = sorted(gens)
+        self.acts = []
+        for gid in self.gens:
+            cols = list(zip(*table.elements[gid].entries))
+            # rows that leave the table get fresh numbers, so their products miss
+            self.acts.append([
+                row_ids.setdefault(
+                    tuple([sum([a * b for a, b in zip(row, col)]) % p for col in cols]),
+                    len(row_ids),
+                )
+                for row in rows
+            ])
+        # key(act) is the product's row numbers: a tuple, or one int when dim is 1
+        ids = list(range(len(rows)))
+        self.index = {itemgetter(*e)(ids): eid
+                      for eid, e in enumerate(self.element_rows)}
+
+    def products(self, eid):
+        """The ids of eid * g for each generator g, in generator order.  A
+        product that is not in the table raises NotClosed."""
+        key = itemgetter(*self.element_rows[eid])
+        index = self.index
+        try:
+            return [index[key(act)] for act in self.acts]
+        except KeyError:
+            raise NotClosed(
+                "a product of element %d and a generator is not in the table" % eid
+            ) from None
+
+
+def bfs_lengths(table, gens, cayley=None):
+    """Exact word length of every element over the generator set, by BFS
+    over the products of a ``CayleyTable(table, gens)``, built here unless
+    the caller passes the one it built.
 
     Elements outside the generated subgroup keep UNREACHED.  A product that
     is not in the table raises NotClosed.  When the table is the whole group
     it is closed under products, so the search stops as soon as every element
     has a length instead of expanding the last level, which finds nothing.
     """
+    if cayley is None:
+        cayley = CayleyTable(table, gens)
+    products = cayley.products
     lengths = [UNREACHED] * len(table)
     lengths[table.identity_id] = 0
-    p = table.p
-    row_ids = {}
-    elements = [tuple([row_ids.setdefault(row, len(row_ids)) for row in m.entries])
-                for m in table.elements]
-    rows = list(row_ids)
-    acts = []
-    for gid in sorted(gens):
-        cols = list(zip(*table.elements[gid].entries))
-        # rows that leave the table get fresh numbers, so their products miss
-        acts.append([
-            row_ids.setdefault(
-                tuple([sum([a * b for a, b in zip(row, col)]) % p for col in cols]),
-                len(row_ids),
-            )
-            for row in rows
-        ])
-    # key(act) is the product's row numbers: a tuple, or one int when dim is 1
-    ids = list(range(len(rows)))
-    index = {itemgetter(*e)(ids): eid for eid, e in enumerate(elements)}
     unreached = len(table) - 1 if _is_whole_group(table) else -1
     frontier = [table.identity_id]
     d = 0
@@ -241,15 +272,7 @@ def bfs_lengths(table, gens):
         d += 1
         nxt = []
         for eid in frontier:
-            key = itemgetter(*elements[eid])
-            for act in acts:
-                try:
-                    j = index[key(act)]
-                except KeyError:
-                    raise NotClosed(
-                        "a product of element %d and a generator is not in the "
-                        "table" % eid
-                    ) from None
+            for j in products(eid):
                 if lengths[j] == UNREACHED:
                     lengths[j] = d
                     nxt.append(j)
@@ -262,7 +285,8 @@ def formula_length(table, eid):
     """The closed-form prediction: rank(g - 1) for GL, dim mov plus the class
     offset for GA."""
     if table.kind == GL:
-        return reflection_length_gl(table.elements[eid])
+        # enumerated elements are invertible by construction
+        return _rank_minus_identity(table.elements[eid])
     gg = table.affine_map(eid)
     return affine.reflection_length_affine(gg)
 
@@ -311,7 +335,12 @@ def verify_formulas(table, check_tuples_up_to=0, cap=DEFAULT_CAP):
     """Compare BFS word lengths against the closed-form lengths for every
     element; optionally also check the reducedness criterion on every
     reflection tuple up to the given length, at most cap tuples in all.  The
-    cap is checked before any length is computed."""
+    cap is checked before any length is computed.
+
+    One ``CayleyTable`` over the reflections serves both the BFS and the
+    tuple products, and the tuple loop (``_check_tuples``) makes no
+    elimination: GL carries each prefix's echelon rows, GA reads the
+    formula pass's lengths."""
     refl = reflections_of(table)
     if not refl:
         raise NoReflections(
@@ -320,7 +349,8 @@ def verify_formulas(table, check_tuples_up_to=0, cap=DEFAULT_CAP):
     checks = sum(len(refl) ** k for k in range(1, check_tuples_up_to + 1))
     if checks > cap:
         raise TooLarge("%d tuple checks exceed cap %d" % (checks, cap))
-    lt = bfs_lengths(table, refl)
+    cayley = CayleyTable(table, refl)
+    lt = bfs_lengths(table, refl, cayley)
     agreements = 0
     disagreements = 0
     first = None
@@ -333,37 +363,83 @@ def verify_formulas(table, check_tuples_up_to=0, cap=DEFAULT_CAP):
             disagreements += 1
             if first is None:
                 first = (eid, got, expected)
-    tuple_checks = 0
-    tuple_failures = 0
-    # reducedness of each tuple versus the BFS length of its product; the
-    # tuples of one length extend those of the length before, so a product
-    # is its prefix's product times one reflection
-    prefixes = [((), table.identity_id)]
-    for k in range(1, check_tuples_up_to + 1):
-        longer = []
-        for factors, prefix_id in prefixes:
-            prefix = table.elements[prefix_id]
-            for i, r in refl.items():
-                tup = factors + (r,)
-                pid = table.id_of(prefix.mul(table.elements[i]))
-                if table.kind == GL:
-                    reduced = is_reduced(OrderedFactorization(table.field, table.n, tup))
-                else:
-                    # The subspace criterion lives in GL; a translation's
-                    # block matrix is a GL reflection but not an affine one,
-                    # so for GA the tuple is reduced exactly when the affine
-                    # length formula, already evaluated above, gives k.
-                    reduced = formula[pid] == k
-                tuple_checks += 1
-                if reduced != (lt.length(pid) == k):
-                    tuple_failures += 1
-                if k < check_tuples_up_to:
-                    longer.append((tup, pid))
-        prefixes = longer
+    tuple_checks, tuple_failures = _check_tuples(
+        table, cayley, refl, lt.lengths, formula, check_tuples_up_to
+    )
     return VerificationReport(
         table.kind, table.n, table.p, len(table), agreements, disagreements,
         first, tuple_checks, tuple_failures,
     )
+
+
+def _check_tuples(table, cayley, refl, lengths, formula, up_to):
+    """(checks, failures) of the reducedness criterion against the BFS
+    lengths, over every tuple of reflections of length 1 to up_to.
+
+    The tuples of one length extend those of the length before, so a
+    tuple's product is one ``cayley`` lookup from its prefix's product.  In
+    GL a tuple of length k is reduced exactly when dim V_S = codim V^S = k,
+    that is when its k vectors and its k forms are independent, so each
+    reduced prefix carries the echelon rows of both and a tuple adds one
+    vector and one form to them (``_extend_reduced``).  The subspace
+    criterion lives in GL; a translation's block matrix is a GL reflection
+    but not an affine one, so in GA a tuple is reduced exactly when the
+    affine length formula, already evaluated in ``formula``, gives k.
+    """
+    p = table.p
+    gl = table.kind == GL
+    pairs = [(refl[gid].v.entries, refl[gid].alpha.entries) for gid in cayley.gens]
+    checks = failures = 0
+    spans = None  # what a GA prefix carries
+    prefixes = [(table.identity_id, ((), ()))]
+    for k in range(1, up_to + 1):
+        longer = []
+        for prefix_id, prefix_spans in prefixes:
+            for (v, alpha), pid in zip(pairs, cayley.products(prefix_id)):
+                if gl:
+                    spans = _extend_reduced(prefix_spans, v, alpha, p)
+                    reduced = spans is not None
+                else:
+                    reduced = formula[pid] == k
+                checks += 1
+                if reduced != (lengths[pid] == k):
+                    failures += 1
+                if k < up_to:
+                    longer.append((pid, spans))
+        prefixes = longer
+    return checks, failures
+
+
+def _extend_reduced(spans, v, alpha, p):
+    """The echelon rows over F_p of a reduced tuple's vectors and of its
+    forms, ``spans``, extended by one more factor (v, alpha); None when the
+    longer tuple is not reduced, or when ``spans`` is None.  A tuple whose
+    prefix is not reduced is not reduced either, since each extra factor
+    raises each dimension by at most 1.
+
+    A row is (pivot column, entries), with entry 1 at its pivot and 0 at
+    the pivots of the rows before it, so reducing by the rows in order
+    clears every pivot column; what is left is nonzero exactly when the new
+    vector is independent of the rows.
+    """
+    if spans is None:
+        return None
+    out = []
+    for rows, vec in zip(spans, (v, alpha)):
+        for c, row in rows:
+            a = vec[c]
+            if a:
+                vec = [(x - a * y) % p for x, y in zip(vec, row)]
+        for c, a in enumerate(vec):
+            if a:
+                break
+        else:
+            return None
+        if a != 1:
+            inv = pow(a, p - 2, p)
+            vec = [x * inv % p for x in vec]
+        out.append(rows + ((c, vec),))
+    return tuple(out)
 
 
 class CensusReport:

@@ -337,3 +337,23 @@ def test_one_elimination_per_affine_query(rref_calls):
             calls.clear()
             query(gg)
             assert len(calls) == 1, (query.__name__, gg)
+
+
+def test_elliptic_factorization_eliminations(rref_calls):
+    # classify, fix_aff and factor_minimal_gl's invertibility check, then one
+    # per descent step; lifting the factors through the fixed point adds none
+    rng = random.Random(17)
+    seen = 0
+    for n in range(2, 7):
+        for _ in range(4):
+            gg = random_affine(F65521, n, rng)
+            if classify(gg) != ELLIPTIC:
+                continue
+            seen += 1
+            length = reflection_length_affine(gg)
+            rref_calls.clear()
+            factors = factor_minimal_affine(gg)
+            assert len(rref_calls) == 3 + length
+            assert len(factors) == length
+            assert compose_all(factors, F65521, n) == gg
+    assert seen >= 10

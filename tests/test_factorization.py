@@ -209,6 +209,15 @@ def test_is_reduced_two_eliminations(rng, rref_calls):
         assert len(rref_calls) == 2
 
 
+def test_factorization_report_two_eliminations(rng, rref_calls):
+    for k in range(1, 5):
+        S = OrderedFactorization(F5, 3, [random_reflection(F5, 3, rng) for _ in range(k)])
+        rref_calls.clear()
+        fr = factorization_report(S)
+        assert len(rref_calls) == 2
+        assert fr.length_by_criterion == length_from_factorization(S)
+
+
 def check_ranks_match_spaces(S):
     moved, fixed = s_spaces(S)
     fr = factorization_report(S)

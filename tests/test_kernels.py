@@ -4,7 +4,8 @@ from bfs_reference import bfs_lengths as reference_bfs_lengths
 from conftest import F3
 from reflen import Matrix
 from reflen.errors import NotClosed
-from reflen.oracle import GroupTable, bfs_lengths, enumerate_group, reflections_of
+from reflen.oracle import (CayleyTable, GroupTable, _check_tuples, bfs_lengths,
+                           enumerate_group, reflections_of)
 
 
 @pytest.mark.parametrize(
@@ -56,3 +57,26 @@ def test_single_generator_cyclic_subgroup():
     reached = [i for i in range(len(table)) if lt.reachable(i)]
     assert reached == sorted([table.identity_id, g])
     assert lt.length(g) == 1
+
+
+@pytest.mark.parametrize("kind,n,p", [("GL", 3, 2), ("GL", 2, 5), ("GA", 2, 3)])
+def test_cayley_products_match_matrix_products(kind, n, p):
+    table = enumerate_group(kind, n, p)
+    cayley = CayleyTable(table, reflections_of(table))
+    gens = [table.elements[gid] for gid in cayley.gens]
+    for eid, x in enumerate(table.elements):
+        assert cayley.products(eid) == [table.id_of(x.mul(g)) for g in gens]
+
+
+def test_tuple_loop_lookup_miss_raises():
+    # {I, t}: the tuple (t, t) has the product t*t, which is missing
+    table = GroupTable("GL", 2, 3, [
+        Matrix(F3, [[1, 0], [0, 1]]),
+        Matrix(F3, [[1, 1], [0, 1]]),
+    ])
+    refl = reflections_of(table)
+    assert list(refl) == [1]
+    cayley = CayleyTable(table, refl)
+    assert _check_tuples(table, cayley, refl, [0, 1], None, 1) == (1, 0)
+    with pytest.raises(NotClosed):
+        _check_tuples(table, cayley, refl, [0, 1], None, 2)

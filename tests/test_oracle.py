@@ -4,7 +4,12 @@ import reflections_reference as ref
 from conftest import F5
 from reflen import Matrix
 from reflen.errors import NoReflections, NotPrime, ShapeMismatch, TooLarge
-from reflen.factorization import factor_minimal_gl, reflection_length_gl
+from reflen.factorization import (
+    OrderedFactorization,
+    factor_minimal_gl,
+    is_reduced,
+    reflection_length_gl,
+)
 from reflen.oracle import (
     bfs_lengths,
     census,
@@ -139,6 +144,47 @@ def test_ga_tuple_check_eliminates_nothing(rref_calls):
     assert len(rref_calls) == without
     assert report.agreements == plain.agreements
     assert report.tuple_checks > 0 and report.tuple_failures == 0
+
+
+def test_gl_formula_pass_one_elimination_per_element(rref_calls):
+    # enumerated elements are invertible, so only rank(g - 1) is eliminated
+    table = enumerate_group("GL", 3, 2)
+    rref_calls.clear()
+    verify_formulas(table)
+    assert len(rref_calls) == len(table) == 168
+
+
+def test_gl_tuple_check_eliminates_nothing(rref_calls):
+    # the GL tuple answers carry the prefixes' echelon rows instead
+    table = enumerate_group("GL", 3, 2)
+    rref_calls.clear()
+    plain = verify_formulas(table)
+    without = len(rref_calls)
+    rref_calls.clear()
+    report = verify_formulas(table, check_tuples_up_to=3)
+    assert len(rref_calls) == without
+    assert report.agreements == plain.agreements
+    assert report.tuple_checks == 21 + 21**2 + 21**3
+    assert report.tuple_failures == 0
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
+def test_incremental_criterion_matches_is_reduced(n, p):
+    # every tuple up to length 3, extended factor by factor as the tuple
+    # loop does, against the library's two-rank is_reduced
+    table = enumerate_group("GL", n, p)
+    refl = list(reflections_of(table).values())
+    prefixes = [((), ((), ()))]
+    for k in range(1, 4):
+        longer = []
+        for factors, spans in prefixes:
+            for r in refl:
+                tup = factors + (r,)
+                ext = oracle._extend_reduced(spans, r.v.entries, r.alpha.entries, p)
+                S = OrderedFactorization(table.field, n, tup)
+                assert (ext is not None) == is_reduced(S), tup
+                longer.append((tup, ext))
+        prefixes = longer
 
 
 def test_tuple_checks_bounded_by_cap():
